@@ -420,38 +420,53 @@ def sample_next(model: JointChannelModel, i: int, rng: np.random.Generator) -> i
 
 
 def sample_link_path(
-    ge: GilbertElliottParams, n_slots: int, rng: np.random.Generator
+    ge: GilbertElliottParams,
+    n_slots: int,
+    rng: np.random.Generator,
+    start: int | None = None,
 ) -> np.ndarray:
-    """Sample one link's Good/Bad bits for n_slots slots, started stationary.
+    """Sample one link's Good/Bad bits for n_slots slots.
 
-    Draw order: one uniform for the initial state, then one per transition,
-    mapped exactly like sample_next (next is Good iff u < p_bg from Bad,
-    u < p_gg from Good).  For p_bg <= p_gg that rule is equivalent to a
-    forced-renewal form (u < p_bg forces Good, u >= p_gg forces Bad, the
-    state holds in between), which vectorises as a forward fill.
+    Without `start` the first slot is drawn stationary from one uniform and
+    the remaining n_slots - 1 slots from one uniform per transition.  With
+    `start` (the link's state in the slot just before) every returned slot
+    is a transition, one uniform each, so a horizon sampled in blocks that
+    carry the last state forward draws exactly what one call over the whole
+    horizon draws.
+
+    Transitions map a uniform u exactly like sample_next (next is Good iff
+    u < p_bg from Bad, u < p_gg from Good).  That rule is equivalent to a
+    forced-renewal form that vectorises for any chain: u < min(p_bg, p_gg)
+    forces Good, u >= max(p_bg, p_gg) forces Bad, and in between the state
+    holds when p_bg <= p_gg and toggles when p_bg > p_gg.  A slot's state is
+    then the last forced value (or `start`), forward-filled, xor the parity
+    of the toggles since it.  The forward fill is a running maximum over
+    keys 2*(slot+1) + value, so the value rides in the lowest bit.
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    pi_bad, _ = stationary_link(ge)
-    init = BAD if rng.random() < pi_bad else GOOD
-    path = np.empty(n_slots, dtype=np.int8)
-    path[0] = init
-    if n_slots == 1:
+    if start is None:
+        pi_bad, _ = stationary_link(ge)
+        first = BAD if rng.random() < pi_bad else GOOD
+        path = np.empty(n_slots, dtype=np.int8)
+        path[0] = first
+        if n_slots > 1:
+            path[1:] = sample_link_path(ge, n_slots - 1, rng, first)
         return path
 
-    u = rng.random(n_slots - 1)
-    if ge.p_bg <= ge.p_gg:
-        force_good = u < ge.p_bg
-        forced = force_good | (u >= ge.p_gg)
-        src = np.where(forced, np.arange(n_slots - 1), -1)
-        np.maximum.accumulate(src, out=src)
-        fill = np.where(src >= 0, force_good[np.maximum(src, 0)], init)
-        path[1:] = fill
-    else:
-        # Negatively correlated chain: no monotone threshold split, step scalar.
-        cur = init
-        for k in range(n_slots - 1):
-            p_good = ge.p_bg if cur == BAD else ge.p_gg
-            cur = GOOD if u[k] < p_good else BAD
-            path[k + 1] = cur
+    u = rng.random(n_slots)
+    value = u < min(ge.p_bg, ge.p_gg)
+    forced = value | (u >= max(ge.p_bg, ge.p_gg))
+    toggles = ge.p_bg > ge.p_gg
+    if toggles:
+        parity = np.logical_xor.accumulate(~forced)
+        value ^= parity
+    key_type = np.int32 if n_slots < 2**30 else np.int64
+    key = np.arange(2, 2 * n_slots + 2, 2, dtype=key_type)
+    key += value
+    key = np.where(forced, key, key_type(start))
+    np.maximum.accumulate(key, out=key)
+    path = (key & 1).astype(np.int8)
+    if toggles:
+        path ^= parity
     return path

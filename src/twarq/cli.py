@@ -413,7 +413,8 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, default_engines: str) -> None
     sub.add_argument("--n-slots", type=int, help="simulated slots per point (default 1000000)")
     sub.add_argument("--seed", type=int, help="simulation seed (default 12345)")
     sub.add_argument("--csi-mode", choices=sorted(_CSI_BY_FLAG),
-                     help="CR feedback view (default prev)")
+                     help="CR feedback view the simulator uses (default prev); "
+                          "eta_analytic is always the previous-slot chain")
     sub.add_argument("--xor-convention", choices=sorted(_CONVENTION_BY_FLAG),
                      help="xor delivery bookkeeping (default table2)")
     sub.add_argument("--engines", choices=("analytic", "simulate", "both"))

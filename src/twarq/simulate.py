@@ -1,16 +1,20 @@
 """Seeded Monte Carlo execution of the ARQ protocol over sampled channels.
 
-A run samples the three link chains for the whole horizon up front (one
-independent PCG64 stream per link, spawned from the run seed, so two runs
-with the same seed share the exact channel trajectory regardless of
-strategy, xor convention, or CSI mode), then walks the protocol state
-machine slot by slot.
+A run streams the horizon in fixed blocks.  Each block samples the three
+link chains (one independent PCG64 stream per link, spawned from the run
+seed and carrying each link's state across blocks, so two runs with the
+same seed share the exact channel trajectory regardless of strategy, xor
+convention, or CSI mode) and walks the protocol state machine over it from
+the state the previous block ended in.  Memory is O(block) plus one record
+per completed round, whatever the horizon.
 
 The walk is table-driven: the per-slot protocol step is a pure function of
 (protocol node, decision view, channel state), so it is enumerated once per
 strategy by literally executing policy_action/apply_slot on every
-combination, and the hot loop just chases indices.  With numba installed
-the loop is jitted; otherwise the identical Python function runs.
+combination.  Folding the decision view into the state turns the protocol
+into one finite-state machine over channel symbols, which is walked
+data-parallel with numpy: chunks of a block advance in lockstep from
+guessed starts and are stitched left to right.
 
 Throughput is delivered packets over slots.  The standard error comes from
 regenerative round statistics: completed rounds are grouped into batches
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -179,54 +184,151 @@ def _tables(
     return next_tab, done_tab, lk_tab
 
 
-_MODE_PREV = 0
-_MODE_LAST = 1
-_MODE_GENIE = 2
-_MODE_INT = {
-    CsiMode.PREV_SLOT: _MODE_PREV,
-    CsiMode.LAST_KNOWN: _MODE_LAST,
-    CsiMode.GENIE: _MODE_GENIE,
-}
+# Walk geometry: the horizon is sampled and walked in blocks of _BLOCK slots,
+# and each block is split into chunks of _CHUNK slots walked in lockstep.  A
+# short block gets shorter chunks, at least _MIN_CHUNKS of them, so that a
+# short run does not pay one numpy call per slot.
+_BLOCK = 1 << 18
+_CHUNK = 2048
+_MIN_CHUNKS = 64
+# Slots converted to Python lists at a time while the stitch walks a chunk
+# again; most chunks meet their guessed trajectory within a few rounds.
+_STITCH_WINDOW = 64
 
 
-def _walk_impl(path, mode, next_tab, done_tab, lk_tab, completions):
-    node = 0
-    lk = 7  # unobserved links count as Good
-    prev = 7
-    r = 0
-    for k in range(path.shape[0]):
-        c = path[k]
-        if mode == 0:
-            csi = prev
-        elif mode == 2:
-            csi = c
-        else:
-            csi = lk
-            lk = lk_tab[node, lk, c]
-        if done_tab[node, csi, c]:
-            completions[r] = k
-            r += 1
-        node = next_tab[node, csi, c]
-        prev = c
-    return r
+@lru_cache(maxsize=None)
+def _fsm(
+    strategy: Strategy, convention: XorConvention, mode: CsiMode
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The protocol with its decision view folded into one state, as 1-D
+    tables over the index s*8 + chan.
+
+    A state s is node*8 + prev for PREV_SLOT, node*8 + last-known view for
+    LAST_KNOWN, and node alone for GENIE.  Returns (nxt, done, start):
+    nxt[s*8 + c] is 8*s' for the next state s', pre-scaled so that one add
+    forms the next index; done[s*8 + c] marks a completed round; start[c]
+    is 8*s for node T0 whose view is channel c.  A run starts at start[7]
+    (links never observed count as Good).
+    """
+    next_tab, done_tab, lk_tab = _tables(strategy, convention)
+    chan = np.arange(8)
+    if mode is CsiMode.GENIE:
+        nxt = next_tab[:, chan, chan].astype(np.intp)
+        done = done_tab[:, chan, chan]
+        start = np.zeros(8, dtype=np.intp)
+    else:
+        view = chan if mode is CsiMode.PREV_SLOT else lk_tab
+        nxt = 8 * next_tab.astype(np.intp) + view
+        done = done_tab
+        start = 8 * chan
+    tables = (8 * nxt.ravel(), done.ravel().astype(bool), start)
+    for tab in tables:
+        tab.setflags(write=False)
+    return tables
 
 
-try:
-    import numba
+def _walk(
+    blocks: Iterable[np.ndarray], nxt: np.ndarray, done: np.ndarray, start: np.ndarray
+) -> np.ndarray:
+    """Slots at which rounds complete over the concatenated channel blocks,
+    walking each block from the state the previous one ended in."""
+    found = []
+    offset = 0
+    state = int(start[7])
+    for path in blocks:
+        hits, state = _walk_block(path, state, nxt, done, start)
+        found.append(hits + offset)
+        offset += path.shape[0]
+    return np.concatenate(found)
 
-    _walk = numba.njit(cache=True, nogil=True)(_walk_impl)
-except ImportError:  # pragma: no cover - exercised only without numba
-    _walk = _walk_impl
+
+def _walk_block(
+    path: np.ndarray, state: int, nxt: np.ndarray, done: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Walk one block as chunks in lockstep; returns (completion slots within
+    the block, end state).
+
+    Data-parallel FSM walk (Mytkowicz, Musuvathi & Schulte, ASPLOS 2014):
+    every chunk after the first is walked from a guessed start, node T0 with
+    the view its previous slot gives, one gather per slot for all chunks.
+    A left-to-right stitch then walks a chunk whose guess differs from the
+    true end of the chunk before it again from the true state, but only
+    until the two trajectories meet; from there on the guessed one is the
+    true one.  A chunk that never meets it, as when no round completes in
+    it, is walked to its end.
+    """
+    n = path.shape[0]
+    length = max(1, min(_CHUNK, n // _MIN_CHUNKS))
+    k = -(-n // length)
+    tail = n - (k - 1) * length
+    # chan[t, j] is slot j*length + t; the last chunk is padded with index 0
+    # (every link Bad), in which no round completes
+    chan = np.zeros((length, k), dtype=np.intp)
+    chan.T[: k - 1] = path[: n - tail].reshape(k - 1, length)
+    chan[:tail, k - 1] = path[n - tail :]
+    # idx[t, j] = state*8 + chan: the table index of chunk j's trajectory
+    idx = np.empty((length, k), dtype=np.intp)
+    s = np.empty(k, dtype=np.intp)
+    s[0] = state
+    s[1:] = start[chan[length - 1, : k - 1]]
+    guesses = s.tolist()
+    take = nxt.take
+    for c, i in zip(chan, idx):
+        np.add(s, c, out=i)
+        take(i, out=s, mode="clip")
+    ends = s.tolist()
+
+    nxt_list = nxt.tolist()
+    true = state
+    for j in range(k):
+        if true == guesses[j]:
+            true = ends[j]
+            continue
+        for lo in range(0, length, _STITCH_WINDOW):
+            hi = min(lo + _STITCH_WINDOW, length)
+            walked = []
+            for c, guessed in zip(chan[lo:hi, j].tolist(), idx[lo:hi, j].tolist()):
+                i = true + c
+                if i == guessed:
+                    break
+                walked.append(i)
+                true = nxt_list[i]
+            idx[lo : lo + len(walked), j] = walked
+            if len(walked) < hi - lo:  # met the guessed trajectory
+                true = ends[j]
+                break
+    end = int(nxt[idx[tail - 1, k - 1]])
+    hits = done[idx].T.ravel()[:n]
+    return np.flatnonzero(hits), end
+
+
+def _channel_blocks(
+    model: JointChannelModel, n_slots: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Joint channel indices for the horizon, _BLOCK slots at a time.
+
+    One PCG64 stream per link, spawned from the run seed and drawn in the
+    same order whatever the block size, so two runs with the same seed see
+    the same trajectory.
+    """
+    children = np.random.SeedSequence(seed).spawn(4)  # 3 links + 1 spare
+    links = [
+        (model.link(link), np.random.Generator(np.random.PCG64(child)))
+        for link, child in zip(LinkId, children)
+    ]
+    last = [None] * len(links)
+    for lo in range(0, n_slots, _BLOCK):
+        bits = [
+            sample_link_path(ge, min(_BLOCK, n_slots - lo), rng, prev)
+            for (ge, rng), prev in zip(links, last)
+        ]
+        last = [int(b[-1]) for b in bits]
+        yield (bits[0] << 2) | (bits[1] << 1) | bits[2]
 
 
 def _channel_path(model: JointChannelModel, n_slots: int, seed: int) -> np.ndarray:
-    """Joint channel indices for the whole horizon, one stream per link."""
-    children = np.random.SeedSequence(seed).spawn(4)  # 3 links + 1 spare
-    bits = []
-    for link, child in zip(LinkId, children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        bits.append(sample_link_path(model.link(link), n_slots, rng))
-    return (bits[0] << 2) | (bits[1] << 1) | bits[2]
+    """Joint channel indices for the whole horizon."""
+    return np.concatenate(list(_channel_blocks(model, n_slots, seed)))
 
 
 def _regenerative_stderr(lengths: np.ndarray, n_batches: int = 100) -> float:
@@ -246,13 +348,11 @@ def _regenerative_stderr(lengths: np.ndarray, n_batches: int = 100) -> float:
 
 def run(config: SimConfig) -> SimStats:
     """Simulate one configuration; deterministic for a fixed seed."""
-    path = _channel_path(config.model, config.n_slots, config.seed)
-    mode = _MODE_INT[config.csi_mode] if config.strategy in _CR_FAMILY else _MODE_PREV
-    next_tab, done_tab, lk_tab = _tables(config.strategy, config.xor_convention)
-    completions = np.empty(config.n_slots // 2 + 1, dtype=np.int64)
-    n_rounds = int(_walk(path, mode, next_tab, done_tab, lk_tab, completions))
-
-    lengths = np.diff(completions[:n_rounds], prepend=np.int64(-1))
+    mode = config.csi_mode if config.strategy in _CR_FAMILY else CsiMode.PREV_SLOT
+    fsm = _fsm(config.strategy, config.xor_convention, mode)
+    blocks = _channel_blocks(config.model, config.n_slots, config.seed)
+    lengths = np.diff(_walk(blocks, *fsm), prepend=np.int64(-1))
+    n_rounds = lengths.shape[0]
     mean_len = float(lengths.mean()) if n_rounds else float("nan")
     return SimStats(
         config=config,

@@ -3,9 +3,10 @@
 Nothing here shares code with the implementation paths it validates:
 the Marcum Q oracle integrates the defining Rician tail directly, the
 stationary-law oracle is damped power iteration, the link sampler steps the
-two-state chain scalar-wise, and the protocol oracle replays the state
+two-state chain scalar-wise, the protocol oracle replays the state
 machine slot by slot through the public protocol API instead of the
-table-driven kernel.
+table-driven kernel, and the walk oracle chases the 3-D step tables one
+slot at a time instead of the chunked data-parallel walk.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from twarq.protocol import (
     Phase,
     PolicyContext,
     Strategy,
+    XorConvention,
     advance_token,
     apply_slot,
     policy_action,
     round_complete,
 )
-from twarq.simulate import CsiMode, SimConfig, _channel_path
+from twarq.simulate import CsiMode, SimConfig, _channel_path, _tables
 
 _CR_FAMILY = (Strategy.CR, Strategy.CR_NC)
 _AR_FAMILY = (Strategy.AR, Strategy.AR_NC)
@@ -123,3 +125,36 @@ def simulate_reference(config: SimConfig) -> tuple[int, list[int]]:
             ctx.phase = Phase.RETRANSMISSION
         prev_chan = chan
     return rounds, lengths
+
+
+def walk_reference(
+    path: np.ndarray, strategy: Strategy, convention: XorConvention, mode: CsiMode
+) -> np.ndarray:
+    """Completion slots of the sequential table walk over a channel path.
+
+    Reads the decision view per slot from the (node, view, chan) step tables:
+    the previous slot's channel, the last-known view updated by the slot's
+    feedback, or the current channel.  Strategies outside the CR family
+    ignore the view and are walked with the previous-slot one.
+    """
+    next_tab, done_tab, lk_tab = _tables(strategy, convention)
+    if strategy not in _CR_FAMILY:
+        mode = CsiMode.PREV_SLOT
+    node = 0
+    lk = 7  # unobserved links count as Good
+    prev = 7
+    completions = []
+    for k in range(path.shape[0]):
+        c = path[k]
+        if mode is CsiMode.PREV_SLOT:
+            csi = prev
+        elif mode is CsiMode.GENIE:
+            csi = c
+        else:
+            csi = lk
+            lk = lk_tab[node, lk, c]
+        if done_tab[node, csi, c]:
+            completions.append(k)
+        node = next_tab[node, csi, c]
+        prev = c
+    return np.array(completions, dtype=np.int64)

@@ -304,7 +304,8 @@ def test_sample_next_empirical_distribution():
         ge_transitions(0.05, 0.999),
         GilbertElliottParams.always_good(),
         GilbertElliottParams.always_bad(),
-        GilbertElliottParams(0.9, 0.8),  # negatively correlated: scalar branch
+        GilbertElliottParams(0.9, 0.8),  # negatively correlated: the state toggles
+        ge_transitions(0.79, 0.0),  # p_bg exceeds p_gg by 1 ulp
     ],
 )
 def test_link_path_matches_scalar_stepping(ge):
@@ -312,6 +313,13 @@ def test_link_path_matches_scalar_stepping(ge):
     vec = sample_link_path(ge, 5000, np.random.Generator(np.random.PCG64(seed)))
     ref = link_path_scalar(ge, 5000, np.random.Generator(np.random.PCG64(seed)))
     assert np.array_equal(vec, ref)
+
+    # the same horizon in pieces, each carrying the last state of the one before
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pieces = [sample_link_path(ge, 1000, rng)]
+    for n in (1, 1499, 2500):
+        pieces.append(sample_link_path(ge, n, rng, start=int(pieces[-1][-1])))
+    assert np.array_equal(np.concatenate(pieces), ref)
 
 
 def test_link_path_single_slot():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,22 +8,25 @@ import pytest
 from twarq.analysis import analytic_throughput
 from twarq.channel import (
     JointChannelModel,
+    LinkId,
     db_to_linear,
     fading_margin_from_outage,
     outage_probability,
 )
 from twarq.protocol import Strategy, XorConvention
 from twarq.simulate import (
+    _BLOCK,
+    _CHUNK,
     CsiMode,
     SimConfig,
     _channel_path,
+    _fsm,
     _walk,
-    _walk_impl,
     run,
     run_csi_comparison,
 )
 
-from _oracles import simulate_reference
+from _oracles import link_path_scalar, simulate_reference, walk_reference
 
 COOPERATIVE = [s for s in Strategy if s.cooperative]
 
@@ -138,21 +142,94 @@ def test_table_walk_matches_slot_replay(cfg):
         assert stats.throughput_estimate == 2.0 * rounds / cfg.n_slots
 
 
-def test_jit_and_python_walk_agree():
-    cfg = SimConfig(Strategy.CR_NC, MODEL, n_slots=5000, seed=21,
-                    csi_mode=CsiMode.LAST_KNOWN)
-    from twarq.simulate import _MODE_INT, _tables
+WALK_CASES = [
+    (strategy, convention, mode)
+    for strategy in Strategy
+    if strategy is not Strategy.SW_ARQ
+    for convention in XorConvention
+    for mode in (CsiMode if strategy in (Strategy.CR, Strategy.CR_NC)
+                 else [CsiMode.PREV_SLOT])
+]
+WALK_HORIZONS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                 _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 17)
 
-    path = _channel_path(cfg.model, cfg.n_slots, cfg.seed)
-    tabs = _tables(cfg.strategy, cfg.xor_convention)
-    comp_a = np.empty(cfg.n_slots // 2 + 1, dtype=np.int64)
-    comp_b = np.empty_like(comp_a)
-    mode = _MODE_INT[cfg.csi_mode]
-    n_a = _walk(path, mode, *tabs, comp_a)
-    py_walk = getattr(_walk, "py_func", _walk_impl)
-    n_b = py_walk(path, mode, *tabs, comp_b)
-    assert n_a == n_b
-    assert np.array_equal(comp_a[:n_a], comp_b[:n_b])
+
+@pytest.fixture(scope="module")
+def walk_path():
+    return _channel_path(model_for(0.5, 10.0, 0.99), max(WALK_HORIZONS), seed=21)
+
+
+def _walk_in_blocks(path, fsm):
+    return _walk((path[lo : lo + _BLOCK] for lo in range(0, path.shape[0], _BLOCK)), *fsm)
+
+
+@pytest.mark.parametrize("strategy,convention,mode", WALK_CASES,
+                         ids=lambda v: getattr(v, "value", v))
+def test_walk_matches_sequential_reference(strategy, convention, mode, walk_path):
+    """The chunked walk, streamed in blocks, completes rounds at exactly the
+    slots the sequential table walk does: within one chunk, across chunk and
+    block boundaries, and after chunks whose speculation never merges."""
+    fsm = _fsm(strategy, convention, mode)
+    expected = walk_reference(walk_path, strategy, convention, mode)
+    for horizon in WALK_HORIZONS:
+        got = _walk_in_blocks(walk_path[:horizon], fsm)
+        assert np.array_equal(got, expected[expected < horizon]), horizon
+
+    # one all-Good slot delivers p1, then every link is Bad for several
+    # chunks: the round stalls in a node the T0 guesses never reach, so no
+    # guessed trajectory meets the true one until the channel recovers
+    outage = 5 * _CHUNK + 3
+    path = np.concatenate(([7], np.zeros(outage, dtype=np.int8), walk_path[:3000]))
+    expected = walk_reference(path, strategy, convention, mode)
+    assert expected.size and expected[0] > outage
+    assert np.array_equal(_walk_in_blocks(path, fsm), expected)
+
+
+PINNED_SLOTS = 800_000  # three blocks and part of a fourth
+PINNED_ROUNDS = [
+    (Strategy.RR_NC, CsiMode.PREV_SLOT, 330294),
+    (Strategy.AR_NC, CsiMode.PREV_SLOT, 330306),
+    (Strategy.CR_NC, CsiMode.PREV_SLOT, 331349),
+    (Strategy.CR_NC, CsiMode.LAST_KNOWN, 330804),
+]
+
+
+@pytest.mark.parametrize("strategy,mode,rounds", PINNED_ROUNDS,
+                         ids=lambda v: getattr(v, "value", v))
+def test_pinned_trajectories(strategy, mode, rounds):
+    """Rounds completed by fixed-seed runs that span several blocks.  The
+    values come from the sequential walk over a one-shot channel draw, so
+    they pin the trajectory through block streaming and the chunked walk."""
+    assert PINNED_SLOTS >= 3 * _BLOCK
+    model = model_for(0.4, 10.0, 0.99)
+    cfg = SimConfig(strategy, model, PINNED_SLOTS, 12345, csi_mode=mode)
+    assert run(cfg).rounds_completed == rounds
+
+
+def test_block_streamed_path_equals_one_shot_draw():
+    model = model_for(0.4, 10.0, 0.99)
+    n = 2 * _BLOCK + 5
+    children = np.random.SeedSequence(8).spawn(4)
+    bits = [
+        link_path_scalar(model.link(link), n, np.random.Generator(np.random.PCG64(child)))
+        for link, child in zip(LinkId, children)
+    ]
+    expected = (bits[0] << 2) | (bits[1] << 1) | bits[2]
+    assert np.array_equal(_channel_path(model, n, seed=8), expected)
+
+
+def test_memory_does_not_grow_with_horizon():
+    """Past the fixed per-block buffers, a run keeps only its per-round record."""
+    cfg = SimConfig(Strategy.CR_NC, model_for(0.4, 10.0, 0.99), 400_000, 12345)
+    peaks = []
+    for n_slots in (400_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            run(replace(cfg, n_slots=n_slots))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 1_600_000 <= 12.0
 
 
 # ---------------------------------------------------------------------------
