@@ -10,8 +10,8 @@ depends on:
     R(b, i)     b = dec[ps1, ps2, rs1, rs2], b <= 11
     R(b, i, t)  rows that also need the scheduler token
 
-The ARQ part of every transition is deterministic (it is the protocol rules
-replayed symbolically), so entry (m, n) of the transition matrix is the
+The ARQ part of every transition is deterministic (it is read off
+protocol.kernel), so entry (m, n) of the transition matrix is the
 joint-channel step probability p_c(i_m, i_n) whenever the protocol maps m's
 configuration to n's, and zero otherwise.  Stacking blocks in the order
 T0, T1, R gives the structure
@@ -23,11 +23,12 @@ T0, T1, R gives the structure
 and the throughput is twice the stationary mass of the T0 block: two
 packets delivered per round, one round per T0 visit.
 
-Token bookkeeping per strategy: the AR family tokens every row (the
-alternation bit persists across rows), the CR family tokens exactly the
-C rows (the bit caches the feedback-based choice made when the row was
-entered), RR needs none.  That yields 8+32+96 = 136 sub-states for RR and
-RR-NC, 8+32+192 = 232 for AR and AR-NC, 176 for CR-NC and 184 for CR.
+The sub-states are the kernel's previous-slot states times the channel
+during the slot, m = node*8 + i.  The token t is the AR alternation bit on
+every row, or on the C rows of CR the choice cached from the channel the
+previous slot saw; RR keeps none.  That yields 8+32+96 = 136 sub-states for
+RR and RR-NC, 8+32+192 = 232 for AR and AR-NC, 176 for CR-NC and 184 for
+CR.
 """
 
 from __future__ import annotations
@@ -36,22 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GOOD, BAD, JointChannelModel, LinkId, joint_matrix, stationary_link
+from .channel import JointChannelModel, joint_matrix, stationary_link
 from .exceptions import NumericalError
-from .protocol import (
-    Action,
-    ArqState,
-    NodeId,
-    Payload,
-    Phase,
-    PolicyContext,
-    Strategy,
-    XorConvention,
-    advance_token,
-    apply_slot,
-    c_rows,
-    policy_action,
-)
+from .protocol import Strategy, XorConvention, kernel, kernel_nodes
 
 __all__ = [
     "SteadyState",
@@ -67,16 +55,6 @@ __all__ = [
 ]
 
 N_CHAN = 8
-
-# Sub-state totals implied by the policy table; enumerate_substates asserts them.
-_EXPECTED_SIZE = {
-    Strategy.RR: 136,
-    Strategy.RR_NC: 136,
-    Strategy.AR: 232,
-    Strategy.AR_NC: 232,
-    Strategy.CR: 184,
-    Strategy.CR_NC: 176,
-}
 
 
 @dataclass(frozen=True)
@@ -100,29 +78,17 @@ class SubStateSpace:
                 "no sub-state chain is defined for it"
             )
         self.strategy = strategy
-        if strategy in (Strategy.AR, Strategy.AR_NC):
-            tokened = tuple(range(12))
-        elif strategy in (Strategy.CR, Strategy.CR_NC):
-            tokened = c_rows(strategy)
-        else:
-            tokened = ()
-        self.tokened_rows = frozenset(tokened)
-
-        states: list[SubState] = []
-        states += [SubState("T0", i) for i in range(N_CHAN)]
-        states += [SubState("T1", i, a=a) for a in range(4) for i in range(N_CHAN)]
-        for b in range(12):
-            if b in self.tokened_rows:
-                for t in (0, 1):
-                    states += [SubState("R", i, b=b, token=t) for i in range(N_CHAN)]
-            else:
-                states += [SubState("R", i, b=b) for i in range(N_CHAN)]
-        self.states = states
-        self.index = {s: m for m, s in enumerate(states)}
+        nodes = kernel_nodes(strategy)
+        self.tokened_rows = frozenset(node.b for node in nodes if node.token is not None)
+        self.states = [
+            SubState(node.kind, i, node.a, node.b, node.token)
+            for node in nodes
+            for i in range(N_CHAN)
+        ]
+        self.index = {s: m for m, s in enumerate(self.states)}
         self.n_t0 = N_CHAN
         self.n_t1 = 4 * N_CHAN
-        self.n_r = len(states) - self.n_t0 - self.n_t1
-        assert len(states) == _EXPECTED_SIZE[strategy], (strategy, len(states))
+        self.n_r = len(self.states) - self.n_t0 - self.n_t1
 
     def __len__(self) -> int:
         return len(self.states)
@@ -145,52 +111,6 @@ def enumerate_substates(strategy: Strategy) -> SubStateSpace:
     return SubStateSpace(strategy)
 
 
-def _t1_state(a: int) -> ArqState:
-    return ArqState(ps1=(a >> 1) & 1, ps2=0, rs1=a & 1, rs2=0)
-
-
-def _row_ctx(strategy: Strategy, token: int | None) -> PolicyContext:
-    """Context that makes policy_action reproduce a stored token decision.
-
-    AR reads the token directly.  CR reads the feedback view, so encode the
-    cached bit there: direct link Good and both relay links Bad exactly when
-    the cached choice was the source.
-    """
-    ctx = PolicyContext(phase=Phase.RETRANSMISSION, token=token or 0)
-    if strategy in (Strategy.CR, Strategy.CR_NC) and token is not None:
-        relay_bit = BAD if token else GOOD
-        ctx.observe(LinkId.S1S2, GOOD, -1)
-        ctx.observe(LinkId.S1R, relay_bit, -1)
-        ctx.observe(LinkId.S2R, relay_bit, -1)
-    return ctx
-
-
-def _next_token(
-    strategy: Strategy,
-    space: SubStateSpace,
-    executed: ArqState | None,
-    exec_token: int | None,
-    next_state: ArqState,
-    chan_index: int,
-) -> int | None:
-    """Token carried into the next retransmission sub-state, None if untokened.
-
-    chan_index is the channel during the slot just executed; for CR that is
-    exactly the feedback the next decision will be based on.
-    """
-    if next_state.b_index not in space.tokened_rows:
-        return None
-    if strategy in (Strategy.AR, Strategy.AR_NC):
-        ctx = PolicyContext(phase=Phase.RETRANSMISSION, token=exec_token or 0)
-        advance_token(strategy, ctx, executed, next_state)
-        return ctx.token
-    # CR family: recompute the decision from the just-observed channel.
-    ctx = PolicyContext(phase=Phase.RETRANSMISSION)
-    ctx.set_csi_from_index(chan_index, -1)
-    advance_token(strategy, ctx, executed, next_state)
-    return ctx.token
-
-
 def transition_matrix(
     space: SubStateSpace,
     model: JointChannelModel,
@@ -198,47 +118,14 @@ def transition_matrix(
 ) -> np.ndarray:
     """Dense row-stochastic matrix of the sub-state chain.
 
-    Each row has exactly eight nonzeros: the protocol maps the row's
-    configuration to one target configuration, and the channel moves to any
-    of the eight joint states with probability p_c(i, j).
+    Each row has exactly eight nonzeros: P[m, 8*nxt[m] + j] = p_c(i, j) for
+    sub-state m = node*8 + i, with nxt the kernel's next node.
     """
-    strategy = space.strategy
+    nxt, _ = kernel(space.strategy, xor_convention)
     p_c = joint_matrix(model)
-    n = len(space)
-    mat = np.zeros((n, n))
-
-    for m, sub in enumerate(space.states):
-        i = sub.chan
-        if sub.kind == "T0":
-            out = apply_slot(ArqState(), Action(NodeId.S1, Payload.P1), i)
-            a_new = (out.state.ps1 << 1) | out.state.rs1
-            targets = [SubState("T1", j, a=a_new) for j in range(N_CHAN)]
-        elif sub.kind == "T1":
-            out = apply_slot(_t1_state(sub.a), Action(NodeId.S2, Payload.P2), i)
-            if out.state.complete:
-                targets = [SubState("T0", j) for j in range(N_CHAN)]
-            else:
-                t_new = _next_token(strategy, space, None, None, out.state, i)
-                targets = [
-                    SubState("R", j, b=out.state.b_index, token=t_new)
-                    for j in range(N_CHAN)
-                ]
-        else:
-            state = ArqState.from_b_index(sub.b)
-            ctx = _row_ctx(strategy, sub.token)
-            action = policy_action(strategy, state, ctx)
-            out = apply_slot(state, action, i, xor_convention)
-            if out.state.complete:
-                targets = [SubState("T0", j) for j in range(N_CHAN)]
-            else:
-                t_new = _next_token(strategy, space, state, sub.token, out.state, i)
-                targets = [
-                    SubState("R", j, b=out.state.b_index, token=t_new)
-                    for j in range(N_CHAN)
-                ]
-        for j, target in enumerate(targets):
-            mat[m, space.index[target]] = p_c[i, j]
-
+    m = np.arange(len(space))
+    mat = np.zeros((m.size, m.size))
+    mat[m[:, None], N_CHAN * nxt.reshape(-1, 1) + np.arange(N_CHAN)] = p_c[m % N_CHAN]
     rowsum_err = np.abs(mat.sum(axis=1) - 1.0).max()
     if rowsum_err > 1e-12:
         raise NumericalError(f"transition matrix rows off stochastic by {rowsum_err}")

@@ -42,7 +42,6 @@ __all__ = [
     "fading_margin_from_outage",
     "ge_transitions",
     "joint_matrix",
-    "joint_transition_prob",
     "linear_to_db",
     "link_bit",
     "marcum_q",
@@ -382,28 +381,14 @@ class JointChannelModel:
         return cls.from_outage(p_sr, p_sr, p_ss, rho)
 
 
-def joint_transition_prob(model: JointChannelModel, i: int, j: int) -> float:
-    """Joint chain transition probability p_c(i, j), the product over links."""
-    if not (0 <= i < N_JOINT_STATES and 0 <= j < N_JOINT_STATES):
-        raise ValueError(f"joint channel indices must be in 0..7, got {i}, {j}")
-    p = 1.0
-    for link in LinkId:
-        p *= model.link(link).transition(link_bit(i, link), link_bit(j, link))
-    return p
-
-
 def joint_matrix(model: JointChannelModel) -> np.ndarray:
-    """Full 8x8 row-stochastic matrix of the joint channel chain."""
-    mats = [model.link(link).matrix() for link in LinkId]
-    out = np.empty((N_JOINT_STATES, N_JOINT_STATES))
-    for i in range(N_JOINT_STATES):
-        for j in range(N_JOINT_STATES):
-            out[i, j] = (
-                mats[0][link_bit(i, LinkId.S1R), link_bit(j, LinkId.S1R)]
-                * mats[1][link_bit(i, LinkId.S2R), link_bit(j, LinkId.S2R)]
-                * mats[2][link_bit(i, LinkId.S1S2), link_bit(j, LinkId.S1S2)]
-            )
-    return out
+    """Full 8x8 row-stochastic matrix of the joint channel chain.
+
+    The links fade independently, so it is the Kronecker product of the link
+    matrices, S1R outermost as in the joint index.
+    """
+    s1r, s2r, s1s2 = (model.link(link).matrix() for link in LinkId)
+    return np.kron(np.kron(s1r, s2r), s1s2)
 
 
 def sample_next(model: JointChannelModel, i: int, rng: np.random.Generator) -> int:

@@ -5,8 +5,8 @@ engines side by side), `figure` (canned sweeps whose settings ship as config
 files inside the package), and `selftest` (quick end-to-end sanity check).
 
 Every flag can also be given in a config file of `key = value` lines (the
-key is the long flag name without the dashes); explicit flags win over file
-values.  Config files may give comma lists for strategy, rho,
+key is the long flag name without the dashes; any other key is a usage
+error); explicit flags win over file values.  Config files may give comma lists for strategy, rho,
 fr-over-fs-db and csi-mode, which expand to a cross product of rows.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
@@ -211,22 +211,56 @@ def _emit(rows: list[str], out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
-
-
 def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in _split_list(text)]
+
+
+# Config keys (the long flag names) and how each value is read.  List-valued
+# keys take comma lists; their flags give a single value.
+_CONFIG_KEYS = {
+    "strategy": _split_list,
+    "pss": float,
+    "fs-db": float,
+    "fr-over-fs-db": _floats,
+    "rho": _floats,
+    "fm-tp": _floats,
+    "sweep": str,
+    "n-slots": int,
+    "seed": int,
+    "csi-mode": _split_list,
+    "xor-convention": str,
+    "engines": str,
+}
+_LIST_KEYS = ("fr-over-fs-db", "rho", "fm-tp", "csi-mode")
+
+
+def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
+    """Typed values of a file of `key = value` lines (# starts a comment).
+
+    A malformed line, an unknown key or an unreadable file is a usage error.
+    """
+    values: dict = {}
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        parser.error(f"cannot read config file: {exc}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if not eq:
+            parser.error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        if key not in _CONFIG_KEYS:
+            parser.error(f"{path}:{lineno}: unknown config key {key!r} "
+                         f"(valid: {', '.join(_CONFIG_KEYS)})")
+        values[key] = _CONFIG_KEYS[key](text)
+    return values
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
@@ -346,54 +380,18 @@ def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
     )
 
 
-def _merged_values(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by explicitly given flags."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        raw = _parse_config_file(args.config)
-        if "strategy" in raw:
-            values["strategy"] = _split_list(raw["strategy"])
-        for key in ("rho", "fr-over-fs-db", "fm-tp"):
-            if key in raw:
-                values[key] = [float(v) for v in _split_list(raw[key])]
-        for key in ("pss", "fs-db"):
-            if key in raw:
-                values[key] = float(raw[key])
-        for key in ("sweep", "engines", "xor-convention"):
-            if key in raw:
-                values[key] = raw[key]
-        if "csi-mode" in raw:
-            values["csi-mode"] = _split_list(raw["csi-mode"])
-        for key in ("n-slots", "seed"):
-            if key in raw:
-                values[key] = int(raw[key])
-
-    if args.strategy:
-        values["strategy"] = args.strategy
-    if args.pss is not None:
-        values["pss"] = args.pss
-        values.pop("fs-db", None)
-    if args.fs_db is not None:
-        values["fs-db"] = args.fs_db
-        values.pop("pss", None)
-    if args.rho is not None:
-        values["rho"] = [args.rho]
-    if args.fm_tp is not None:
-        values["fm-tp"] = [args.fm_tp]
-    if args.fr_over_fs_db is not None:
-        values["fr-over-fs-db"] = [args.fr_over_fs_db]
-    if args.sweep is not None:
-        values["sweep"] = args.sweep
-    if args.n_slots is not None:
-        values["n-slots"] = args.n_slots
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.csi_mode is not None:
-        values["csi-mode"] = [args.csi_mode]
-    if args.xor_convention is not None:
-        values["xor-convention"] = args.xor_convention
-    if args.engines is not None:
-        values["engines"] = args.engines
+def _merged_values(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, path: str | None
+) -> dict:
+    """Values of the config file at path, overridden by explicitly given flags."""
+    values = _read_config(parser, path) if path else {}
+    for key in _CONFIG_KEYS:
+        flag = getattr(args, key.replace("-", "_"), None)
+        if flag is None:
+            continue
+        values[key] = [flag] if key in _LIST_KEYS else flag
+        if key in ("pss", "fs-db"):  # a direct-link flag replaces the file's other one
+            values.pop("fs-db" if key == "pss" else "pss", None)
     return values
 
 
@@ -450,29 +448,9 @@ def _figure_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> S
         parser.error(f"unknown figure {args.name!r}; valid names: {', '.join(_FIGURES)}")
     cfg_file = resources.files("twarq").joinpath("figures", f"{args.name}.cfg")
     with resources.as_file(cfg_file) as path:
-        raw = _parse_config_file(str(path))
-    file_values: dict = {
-        "strategy": _split_list(raw["strategy"]),
-        "engines": raw.get("engines", "both"),
-    }
-    for key in ("rho", "fr-over-fs-db"):
-        if key in raw:
-            file_values[key] = [float(v) for v in _split_list(raw[key])]
-    for key in ("pss", "fs-db"):
-        if key in raw:
-            file_values[key] = float(raw[key])
-    if "sweep" in raw:
-        file_values["sweep"] = raw["sweep"]
-    if "csi-mode" in raw:
-        file_values["csi-mode"] = _split_list(raw["csi-mode"])
-    for key in ("n-slots", "seed"):
-        if key in raw:
-            file_values[key] = int(raw[key])
-    if args.n_slots is not None:
-        file_values["n-slots"] = args.n_slots
-    if args.seed is not None:
-        file_values["seed"] = args.seed
-    return _build_spec(parser, file_values)
+        values = _merged_values(parser, args, str(path))
+    values.setdefault("engines", "both")
+    return _build_spec(parser, values)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.cmd in ("analytic", "simulate"):
-            values = _merged_values(args)
+            values = _merged_values(parser, args, args.config)
             values.setdefault("engines", args.default_engines)
             spec = _build_spec(parser, values)
             _emit(execute(spec), args.out)

@@ -33,19 +33,41 @@ relay link toward the packet's destination was down, otherwise the relay.
 The *-NC variants use the xor broadcast row above, the plain variants treat
 b = 3 as a C row.  SW_ARQ ignores the relay entirely and just repeats the
 missing packet over the direct link.
+
+Both engines read the protocol from one table, kernel(strategy, convention,
+view) -> (nxt, done), built once by executing the rules above on every
+(state, joint channel) pair.  A state is a node, in the order
+
+    T0             first slot of a round (S1 sends p1)
+    T1(a)          a = dec[ps1, rs1] left by the first slot, a = 0..3
+    R(b[, t])      b = 0..11; a token t = 0, 1 after each tokened row
+
+times the last-known feedback view (node*8 + view) under CsiMode.LAST_KNOWN.
+The token is the AR alternation bit on every row, or, on the C rows of CR,
+the choice (1 = source) cached from the view the previous slot left; RR, the
+stop-and-wait baseline and CR under the genie view keep none.  On a C row
+the token names the transmitter: 0 the relay, 1 the packet's source.
+nxt[s, c] is the state after a slot in state s under joint channel c, and
+done[s, c] marks a completed round.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import NamedTuple
 
-from .channel import GOOD, LinkId, link_bit
+import numpy as np
+
+from .channel import GOOD, LinkId, link_bit, with_link_bit
 from .exceptions import ProtocolError
 
 __all__ = [
     "Action",
     "ArqState",
+    "CsiMode",
+    "Node",
     "NodeId",
     "Payload",
     "Phase",
@@ -56,6 +78,8 @@ __all__ = [
     "advance_token",
     "apply_slot",
     "c_rows",
+    "kernel",
+    "kernel_nodes",
     "policy_action",
     "resolve_c",
     "round_complete",
@@ -98,6 +122,19 @@ class Phase(enum.Enum):
     TRANSMISSION_1 = 1
     TRANSMISSION_2 = 2
     RETRANSMISSION = 3
+
+
+class CsiMode(enum.Enum):
+    """Channel view the CR decision rule reads.
+
+    PREV_SLOT: the full previous-slot channel state (matches the analytic
+    chain).  LAST_KNOWN: per-link values from the most recent feedback that
+    exercised each link.  GENIE: the current slot's true state.
+    """
+
+    PREV_SLOT = "prev"
+    LAST_KNOWN = "last-known"
+    GENIE = "genie"
 
 
 class XorConvention(enum.Enum):
@@ -376,3 +413,102 @@ def advance_token(
                 ctx.token = 0 if chosen is NodeId.R else 1
         return ctx
     return ctx
+
+
+class Node(NamedTuple):
+    """A kernel node: phase kind ("T0", "T1", "R"), the ARQ bits the slot
+    starts from (a for T1, b for R) and the token (None if untokened)."""
+
+    kind: str
+    a: int | None = None
+    b: int | None = None
+    token: int | None = None
+
+
+_PHASE_OF = {
+    "T0": Phase.TRANSMISSION_1,
+    "T1": Phase.TRANSMISSION_2,
+    "R": Phase.RETRANSMISSION,
+}
+
+
+def _tokened_rows(strategy: Strategy, view: CsiMode) -> tuple[int, ...]:
+    if strategy in (Strategy.AR, Strategy.AR_NC):
+        return tuple(range(12))
+    if strategy in (Strategy.CR, Strategy.CR_NC) and view is not CsiMode.GENIE:
+        return c_rows(strategy)
+    return ()
+
+
+def kernel_nodes(
+    strategy: Strategy, view: CsiMode = CsiMode.PREV_SLOT
+) -> tuple[Node, ...]:
+    """The kernel's nodes in state order: T0, T1(a), then R(b[, t])."""
+    tokened = _tokened_rows(strategy, view)
+    nodes = [Node("T0")] + [Node("T1", a=a) for a in range(4)]
+    for b in range(12):
+        nodes += [Node("R", b=b, token=t) for t in ((0, 1) if b in tokened else (None,))]
+    return tuple(nodes)
+
+
+@lru_cache(maxsize=None)
+def kernel(
+    strategy: Strategy,
+    convention: XorConvention = XorConvention.SAME_INDEX,
+    view: CsiMode = CsiMode.PREV_SLOT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nxt, done) tables of shape (states, 8) over (state, joint
+    channel); see the module docstring for the state order.
+
+    The next node's token is the AR alternation bit advanced past the slot,
+    or the CR choice for its row made from the view the slot leaves: its
+    channel (PREV_SLOT) or the last-known view updated by its feedback.
+    Under GENIE the CR choice is made from the current channel instead.
+    """
+    nodes = kernel_nodes(strategy, view)
+    index = {node: k for k, node in enumerate(nodes)}
+    tokened = _tokened_rows(strategy, view)
+    views = range(8) if view is CsiMode.LAST_KNOWN else (None,)
+    nxt = np.empty((len(nodes) * len(views), 8), dtype=np.intp)
+    done = np.zeros(nxt.shape, dtype=bool)
+    for k, node in enumerate(nodes):
+        if node.kind == "R":
+            state = ArqState.from_b_index(node.b)
+        else:
+            a = node.a or 0
+            state = ArqState(ps1=a >> 1, rs1=a & 1)
+        for v, known in enumerate(views):
+            s = k * len(views) + v
+            for chan in range(8):
+                ctx = PolicyContext(phase=_PHASE_OF[node.kind], token=node.token or 0)
+                ctx.set_csi_from_index(chan, -1)  # read by the genie view only
+                if node.kind == "R" and node.token is not None and row_designates_c(
+                    strategy, node.b
+                ):
+                    payload = row_payload(strategy, node.b)
+                    sender = _SOURCE_OF[payload] if node.token else NodeId.R
+                    action = Action(sender, payload)
+                else:
+                    action = policy_action(strategy, state, ctx)
+                out = apply_slot(state, action, chan, convention)
+                seen = chan
+                if known is not None:
+                    seen = known
+                    for link, bit in out.observed:
+                        seen = with_link_bit(seen, link, bit)
+                if out.state.complete:
+                    done[s, chan] = True
+                    target = Node("T0")
+                elif node.kind == "T0":
+                    target = Node("T1", a=(out.state.ps1 << 1) | out.state.rs1)
+                else:
+                    b, token = out.state.b_index, None
+                    if b in tokened:
+                        ctx.set_csi_from_index(seen, -1)
+                        executed = state if node.kind == "R" else None
+                        token = advance_token(strategy, ctx, executed, out.state).token
+                    target = Node("R", b=b, token=token)
+                nxt[s, chan] = index[target] * len(views) + (0 if known is None else seen)
+    nxt.setflags(write=False)
+    done.setflags(write=False)
+    return nxt, done

@@ -8,13 +8,10 @@ convention, or CSI mode) and walks the protocol state machine over it from
 the state the previous block ended in.  Memory is O(block) plus one record
 per completed round, whatever the horizon.
 
-The walk is table-driven: the per-slot protocol step is a pure function of
-(protocol node, decision view, channel state), so it is enumerated once per
-strategy by literally executing policy_action/apply_slot on every
-combination.  Folding the decision view into the state turns the protocol
-into one finite-state machine over channel symbols, which is walked
-data-parallel with numpy: chunks of a block advance in lockstep from
-guessed starts and are stitched left to right.
+The walk reads protocol.kernel, the (state, channel) table the analytic
+chain is assembled from, for the run's CSI view: one finite-state machine
+over channel symbols, walked data-parallel with numpy.  Chunks of a block
+advance in lockstep from guessed starts and are stitched left to right.
 
 Throughput is delivered packets over slots.  The standard error comes from
 regenerative round statistics: completed rounds are grouped into batches
@@ -25,7 +22,6 @@ within-round (and, at high correlation, cross-round) dependence.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -33,36 +29,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import JointChannelModel, LinkId, sample_link_path, with_link_bit
-from .protocol import (
-    ArqState,
-    Phase,
-    PolicyContext,
-    Strategy,
-    XorConvention,
-    apply_slot,
-    policy_action,
-    row_designates_c,
-)
+from .channel import JointChannelModel, LinkId, sample_link_path
+from .protocol import CsiMode, Strategy, XorConvention, kernel
 
 __all__ = ["CsiMode", "SimConfig", "SimStats", "run", "run_csi_comparison"]
 
-
-class CsiMode(enum.Enum):
-    """Channel view the CR decision rule reads.
-
-    PREV_SLOT: the full previous-slot channel state (matches the analytic
-    chain).  LAST_KNOWN: per-link values from the most recent feedback that
-    exercised each link.  GENIE: the current slot's true state.
-    """
-
-    PREV_SLOT = "prev"
-    LAST_KNOWN = "last-known"
-    GENIE = "genie"
-
-
 _CR_FAMILY = (Strategy.CR, Strategy.CR_NC)
-_AR_FAMILY = (Strategy.AR, Strategy.AR_NC)
 
 
 @dataclass(frozen=True)
@@ -94,96 +66,6 @@ class SimStats:
     mean_round_length: float
 
 
-# ---------------------------------------------------------------------------
-# Protocol step tables.
-#
-# Node encoding: 0 = T0; 1..4 = T1(a); then the retransmission rows,
-# 5 + b for strategies without a persistent token and 5 + 2*b + t for the
-# AR family.  CR keeps no token in the node: its choice is recomputed every
-# slot from the decision view.
-# ---------------------------------------------------------------------------
-
-_NODE_T0 = 0
-_NODE_T1 = 1
-_NODE_R = 5
-
-
-def _n_nodes(strategy: Strategy) -> int:
-    return _NODE_R + (24 if strategy in _AR_FAMILY else 12)
-
-
-def _encode_r(strategy: Strategy, b: int, token: int) -> int:
-    if strategy in _AR_FAMILY:
-        return _NODE_R + 2 * b + token
-    return _NODE_R + b
-
-
-def _step_node(
-    strategy: Strategy,
-    convention: XorConvention,
-    node: int,
-    csi_bits: int,
-    chan: int,
-) -> tuple[int, bool, int]:
-    """Execute one slot from an encoded node; returns (next node, round done,
-    updated last-known view)."""
-    if node == _NODE_T0:
-        state = ArqState()
-        ctx = PolicyContext(phase=Phase.TRANSMISSION_1)
-    elif node < _NODE_R:
-        a = node - _NODE_T1
-        state = ArqState(ps1=(a >> 1) & 1, rs1=a & 1)
-        ctx = PolicyContext(phase=Phase.TRANSMISSION_2)
-    else:
-        if strategy in _AR_FAMILY:
-            b, token = divmod(node - _NODE_R, 2)
-        else:
-            b, token = node - _NODE_R, 0
-        state = ArqState.from_b_index(b)
-        ctx = PolicyContext(phase=Phase.RETRANSMISSION, token=token)
-        ctx.set_csi_from_index(csi_bits, -1)
-
-    action = policy_action(strategy, state, ctx)
-    out = apply_slot(state, action, chan, convention)
-
-    lk_next = csi_bits
-    for link, bit in out.observed:
-        lk_next = with_link_bit(lk_next, link, bit)
-
-    if out.state.complete:
-        return _NODE_T0, True, lk_next
-    if node == _NODE_T0:
-        a_new = (out.state.ps1 << 1) | out.state.rs1
-        return _NODE_T1 + a_new, False, lk_next
-    if node < _NODE_R:
-        return _encode_r(strategy, out.state.b_index, 0), False, lk_next
-    token_new = 0
-    if strategy in _AR_FAMILY:
-        token_new = ctx.token ^ (1 if row_designates_c(strategy, state.b_index) else 0)
-    return _encode_r(strategy, out.state.b_index, token_new), False, lk_next
-
-
-@lru_cache(maxsize=None)
-def _tables(
-    strategy: Strategy, convention: XorConvention
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = _n_nodes(strategy)
-    next_tab = np.zeros((n, 8, 8), dtype=np.int16)
-    done_tab = np.zeros((n, 8, 8), dtype=np.uint8)
-    lk_tab = np.zeros((n, 8, 8), dtype=np.int8)
-    for node in range(n):
-        for csi in range(8):
-            for chan in range(8):
-                nxt, done, lk = _step_node(strategy, convention, node, csi, chan)
-                next_tab[node, csi, chan] = nxt
-                done_tab[node, csi, chan] = done
-                lk_tab[node, csi, chan] = lk
-    next_tab.setflags(write=False)
-    done_tab.setflags(write=False)
-    lk_tab.setflags(write=False)
-    return next_tab, done_tab, lk_tab
-
-
 # Walk geometry: the horizon is sampled and walked in blocks of _BLOCK slots,
 # and each block is split into chunks of _CHUNK slots walked in lockstep.  A
 # short block gets shorter chunks, at least _MIN_CHUNKS of them, so that a
@@ -200,28 +82,17 @@ _STITCH_WINDOW = 64
 def _fsm(
     strategy: Strategy, convention: XorConvention, mode: CsiMode
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The protocol with its decision view folded into one state, as 1-D
-    tables over the index s*8 + chan.
+    """The kernel for the CSI view as 1-D tables over the index s*8 + chan.
 
-    A state s is node*8 + prev for PREV_SLOT, node*8 + last-known view for
-    LAST_KNOWN, and node alone for GENIE.  Returns (nxt, done, start):
-    nxt[s*8 + c] is 8*s' for the next state s', pre-scaled so that one add
-    forms the next index; done[s*8 + c] marks a completed round; start[c]
-    is 8*s for node T0 whose view is channel c.  A run starts at start[7]
-    (links never observed count as Good).
+    Returns (nxt, done, start): nxt[s*8 + c] is 8*s' for the next state s',
+    pre-scaled so that one add forms the next index; done[s*8 + c] marks a
+    completed round; start[c] is 8*s for node T0 whose view is channel c
+    (under LAST_KNOWN; the other views keep none in the state).  A run
+    starts at start[7]: links never observed count as Good.
     """
-    next_tab, done_tab, lk_tab = _tables(strategy, convention)
-    chan = np.arange(8)
-    if mode is CsiMode.GENIE:
-        nxt = next_tab[:, chan, chan].astype(np.intp)
-        done = done_tab[:, chan, chan]
-        start = np.zeros(8, dtype=np.intp)
-    else:
-        view = chan if mode is CsiMode.PREV_SLOT else lk_tab
-        nxt = 8 * next_tab.astype(np.intp) + view
-        done = done_tab
-        start = 8 * chan
-    tables = (8 * nxt.ravel(), done.ravel().astype(bool), start)
+    nxt, done = kernel(strategy, convention, mode)
+    start = np.arange(8) if mode is CsiMode.LAST_KNOWN else np.zeros(8, dtype=np.intp)
+    tables = (8 * nxt.ravel(), done.ravel(), 8 * start)
     for tab in tables:
         tab.setflags(write=False)
     return tables
@@ -249,8 +120,8 @@ def _walk_block(
     the block, end state).
 
     Data-parallel FSM walk (Mytkowicz, Musuvathi & Schulte, ASPLOS 2014):
-    every chunk after the first is walked from a guessed start, node T0 with
-    the view its previous slot gives, one gather per slot for all chunks.
+    every chunk after the first is walked from a guessed start, start[c] for
+    the channel c of its previous slot, one gather per slot for all chunks.
     A left-to-right stitch then walks a chunk whose guess differs from the
     true end of the chunk before it again from the true state, but only
     until the two trajectories meet; from there on the guessed one is the

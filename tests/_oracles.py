@@ -1,12 +1,12 @@
 """Independent reference implementations the tests check the package against.
 
-Nothing here shares code with the implementation paths it validates:
-the Marcum Q oracle integrates the defining Rician tail directly, the
-stationary-law oracle is damped power iteration, the link sampler steps the
-two-state chain scalar-wise, the protocol oracle replays the state
-machine slot by slot through the public protocol API instead of the
-table-driven kernel, and the walk oracle chases the 3-D step tables one
-slot at a time instead of the chunked data-parallel walk.
+The Marcum Q oracle integrates the defining Rician tail directly, the
+stationary-law oracle is damped power iteration, and the link sampler steps
+the two-state chain scalar-wise.  The protocol oracle replays the state
+machine slot by slot through the public protocol API, not through
+protocol.kernel, so it checks the kernel.  The walk oracle does read the
+kernel, one slot at a time: it checks the chunked data-parallel walk and
+its stitch, not the table the walk reads.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from twarq.protocol import (
     policy_action,
     round_complete,
 )
-from twarq.simulate import CsiMode, SimConfig, _channel_path, _tables
+from twarq.protocol import CsiMode, kernel
+from twarq.simulate import SimConfig, _channel_path
 
 _CR_FAMILY = (Strategy.CR, Strategy.CR_NC)
 _AR_FAMILY = (Strategy.AR, Strategy.AR_NC)
@@ -130,31 +131,19 @@ def simulate_reference(config: SimConfig) -> tuple[int, list[int]]:
 def walk_reference(
     path: np.ndarray, strategy: Strategy, convention: XorConvention, mode: CsiMode
 ) -> np.ndarray:
-    """Completion slots of the sequential table walk over a channel path.
+    """Completion slots of the sequential kernel walk over a channel path.
 
-    Reads the decision view per slot from the (node, view, chan) step tables:
-    the previous slot's channel, the last-known view updated by the slot's
-    feedback, or the current channel.  Strategies outside the CR family
-    ignore the view and are walked with the previous-slot one.
+    Starts from node T0, under LAST_KNOWN with the all-Good view (state 7).
+    Strategies outside the CR family ignore the view and are walked with the
+    previous-slot one.
     """
-    next_tab, done_tab, lk_tab = _tables(strategy, convention)
     if strategy not in _CR_FAMILY:
         mode = CsiMode.PREV_SLOT
-    node = 0
-    lk = 7  # unobserved links count as Good
-    prev = 7
+    nxt, done = (tab.tolist() for tab in kernel(strategy, convention, mode))
+    state = 7 if mode is CsiMode.LAST_KNOWN else 0
     completions = []
-    for k in range(path.shape[0]):
-        c = path[k]
-        if mode is CsiMode.PREV_SLOT:
-            csi = prev
-        elif mode is CsiMode.GENIE:
-            csi = c
-        else:
-            csi = lk
-            lk = lk_tab[node, lk, c]
-        if done_tab[node, csi, c]:
+    for k, c in enumerate(path.tolist()):
+        if done[state][c]:
             completions.append(k)
-        node = next_tab[node, csi, c]
-        prev = c
+        state = nxt[state][c]
     return np.array(completions, dtype=np.int64)

@@ -252,3 +252,24 @@ def test_xor_conventions_differ_for_asymmetric_relays():
     same = analytic_throughput(Strategy.RR_NC, model, XorConvention.SAME_INDEX)
     phys = analytic_throughput(Strategy.RR_NC, model, XorConvention.PHYSICAL)
     assert abs(same - phys) > 1e-4
+
+
+# Recorded with repr() from the per-row assembly that the kernel scatter
+# replaced: pss 0.4, relay margins +10 dB, rho 0.99.
+PINNED_ETA = [
+    (Strategy.RR, 0.7634348998294866, 0.7634348998294866),
+    (Strategy.RR_NC, 0.8253994011664089, 0.820942502249003),
+    (Strategy.AR, 0.7371107231840582, 0.7371107231840582),
+    (Strategy.AR_NC, 0.8253865969439828, 0.8218337272344988),
+    (Strategy.CR, 0.7677929767273207, 0.7677929767273207),
+    (Strategy.CR_NC, 0.8281770462345432, 0.8251898249916239),
+]
+
+
+@pytest.mark.parametrize("strat,same_index,physical", PINNED_ETA,
+                         ids=lambda v: getattr(v, "value", None))
+def test_pinned_analytic_values(strat, same_index, physical):
+    model = model_for(0.4, 10.0, 0.99)
+    for convention, eta in ((XorConvention.SAME_INDEX, same_index),
+                            (XorConvention.PHYSICAL, physical)):
+        assert abs(analytic_throughput(strat, model, convention) - eta) <= 1e-12

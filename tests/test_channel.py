@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from twarq.channel import (
     GilbertElliottParams,
     JointChannelModel,
+    LinkId,
     LinkParams,
     db_to_linear,
     fading_margin_from_outage,
     ge_transitions,
     joint_matrix,
-    joint_transition_prob,
     linear_to_db,
+    link_bit,
     marcum_q,
     outage_probability,
     sample_link_path,
@@ -234,16 +235,20 @@ def test_joint_transition_factorisation():
     # state 2 = [0,1,0], state 7 = [1,1,1]: Bad->Good on S1R, Good->Good on
     # S2R, Bad->Good on the direct link.
     expected = model.s1r.p_bg * model.s2r.p_gg * model.s1s2.p_bg
-    assert joint_transition_prob(model, 2, 7) == pytest.approx(expected, rel=1e-14)
-    assert joint_matrix(model)[2, 7] == pytest.approx(expected, rel=1e-14)
+    mat = joint_matrix(model)
+    assert mat[2, 7] == pytest.approx(expected, rel=1e-14)
+    for i in range(8):
+        for j in range(8):
+            product = math.prod(
+                model.link(link).transition(link_bit(i, link), link_bit(j, link))
+                for link in LinkId
+            )
+            assert mat[i, j] == pytest.approx(product, rel=1e-14), (i, j)
 
 
 def test_joint_rows_stochastic():
     mat = joint_matrix(_asymmetric_model())
     assert np.abs(mat.sum(axis=1) - 1.0).max() < 1e-12
-    for i in range(8):
-        total = sum(joint_transition_prob(_asymmetric_model(), i, j) for j in range(8))
-        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_joint_memoryless_rows_identical():
@@ -252,11 +257,6 @@ def test_joint_memoryless_rows_identical():
     )
     mat = joint_matrix(model)
     assert np.abs(mat - mat[0]).max() < 1e-12
-
-
-def test_joint_index_errors():
-    with pytest.raises(ValueError):
-        joint_transition_prob(_asymmetric_model(), 8, 0)
 
 
 # ---------------------------------------------------------------------------

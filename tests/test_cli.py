@@ -113,6 +113,21 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert row["eta_analytic"] == "0.6"
 
 
+@pytest.mark.parametrize("line", ["n_slots = 5", "engine = simulate", "pss 0.3"])
+def test_config_file_rejects_unknown_keys(tmp_path, line):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(f"strategy = sw-arq\npss = 0.3\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--config", str(cfg)])
+    assert exc.value.code == 2
+
+
+def test_config_file_missing_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--config", str(tmp_path / "absent.cfg")])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,6 +7,7 @@ from twarq.exceptions import ProtocolError
 from twarq.protocol import (
     Action,
     ArqState,
+    CsiMode,
     NodeId,
     Payload,
     Phase,
@@ -16,6 +17,8 @@ from twarq.protocol import (
     advance_token,
     apply_slot,
     c_rows,
+    kernel,
+    kernel_nodes,
     policy_action,
     resolve_c,
     round_complete,
@@ -352,3 +355,31 @@ def test_reachable_states_safe_by_exhaustive_walk():
                         frontier.append((Phase.RETRANSMISSION, out.state, ctx.token))
         # 1 start + 4 second-slot states + at most 12 rows x 2 tokens
         assert len(seen) <= 1 + 4 + 24
+
+
+# ---------------------------------------------------------------------------
+# Kernel
+# ---------------------------------------------------------------------------
+
+PREV_STATES = {
+    Strategy.RR: 17, Strategy.RR_NC: 17, Strategy.AR: 29, Strategy.AR_NC: 29,
+    Strategy.CR: 23, Strategy.CR_NC: 22,
+}
+KERNEL_STATES = (
+    [(s, CsiMode.PREV_SLOT, n) for s, n in PREV_STATES.items()]
+    + [(s, CsiMode.GENIE, 17) for s in (Strategy.CR, Strategy.CR_NC)]
+    + [(s, CsiMode.LAST_KNOWN, 8 * n) for s, n in PREV_STATES.items()]
+)
+
+
+@pytest.mark.parametrize("strategy,view,states", KERNEL_STATES,
+                         ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize("convention", list(XorConvention), ids=lambda c: c.value)
+def test_kernel_state_counts(strategy, view, states, convention):
+    nxt, done = kernel(strategy, convention, view)
+    assert nxt.shape == done.shape == (states, 8)
+    assert nxt.min() >= 0 and nxt.max() < states
+    assert not nxt.flags.writeable and not done.flags.writeable
+    views = 8 if view is CsiMode.LAST_KNOWN else 1
+    assert len(kernel_nodes(strategy, view)) * views == states
+
