@@ -21,7 +21,9 @@ T0, T1, R gives the structure
     [ PR0  0    PRR ],
 
 and the throughput is twice the stationary mass of the T0 block: two
-packets delivered per round, one round per T0 visit.
+packets delivered per round, one round per T0 visit.  It is the long-run
+T0 share of a run started at sub-state 0, solved on the recurrent class
+that run settles in (see steady_state).
 
 The sub-states are the kernel's previous-slot states times the channel
 during the slot, m = node*8 + i.  The token t is the AR alternation bit on
@@ -34,6 +36,7 @@ CR.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,11 +83,11 @@ class SubStateSpace:
         self.strategy = strategy
         nodes = kernel_nodes(strategy)
         self.tokened_rows = frozenset(node.b for node in nodes if node.token is not None)
-        self.states = [
+        self.states = tuple(
             SubState(node.kind, i, node.a, node.b, node.token)
             for node in nodes
             for i in range(N_CHAN)
-        ]
+        )
         self.index = {s: m for m, s in enumerate(self.states)}
         self.n_t0 = N_CHAN
         self.n_t1 = 4 * N_CHAN
@@ -106,8 +109,12 @@ class SubStateSpace:
         return slice(self.n_t0 + self.n_t1, len(self.states))
 
 
+@lru_cache(maxsize=None)
 def enumerate_substates(strategy: Strategy) -> SubStateSpace:
-    """Full ordered sub-state space for a cooperative strategy."""
+    """Full ordered sub-state space for a cooperative strategy.
+
+    Built once per strategy; every caller shares the same instance.
+    """
     return SubStateSpace(strategy)
 
 
@@ -140,80 +147,70 @@ class SteadyState:
     residual: float
 
 
-def _power_iteration(mat: np.ndarray, tol: float = 1e-14, max_iter: int = 2_000_000) -> np.ndarray:
-    """Damped power iteration; the averaging kills period-2 cycles."""
-    n = mat.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = 0.5 * (pi + pi @ mat)
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() < tol:
-            return nxt
-        pi = nxt
-    raise NumericalError("power iteration did not converge")
+def _reach(mask: np.ndarray, start: int) -> np.ndarray:
+    """Boolean set of the states reachable from `start` along `mask` edges."""
+    seen = np.zeros(mask.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = mask[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
 
 
-def _deterministic_steady(mat: np.ndarray) -> SteadyState:
-    """Exact stationary law of a 0/1 transition matrix (degenerate links).
+def _closed_class(mat: np.ndarray) -> np.ndarray:
+    """Indices of the recurrent class that a chain started at state 0 enters.
 
-    The chain is a functional graph; the single recurrent class reachable
-    from the first state is a cycle, and the stationary law is uniform on
-    it.  This keeps limits like the all-Good channel exact instead of
-    carrying linear-solver roundoff.
+    The forward reach of x is one closed class exactly when every state in
+    it can reach x back.  Otherwise x moves to a state that cannot, whose
+    reach is strictly smaller, so the walk ends within n steps.
     """
-    succ = mat.argmax(axis=1)
-    seen: dict[int, int] = {}
-    state = 0
-    while state not in seen:
-        seen[state] = len(seen)
-        state = int(succ[state])
-    cycle = [s for s, order in seen.items() if order >= seen[state]]
-    pi = np.zeros(mat.shape[0])
-    pi[cycle] = 1.0 / len(cycle)
-    return SteadyState(pi=pi, residual=float(np.abs(pi @ mat - pi).max()))
+    mask = mat > 0.0
+    x = 0
+    while True:
+        ahead = _reach(mask, x)
+        stuck = ahead & ~_reach(mask.T, x)
+        if not stuck.any():
+            return np.flatnonzero(ahead)
+        x = int(stuck.argmax())
 
 
 def steady_state(mat: np.ndarray, residual_tol: float = 1e-10) -> SteadyState:
-    """Solve pi = pi P with sum(pi) = 1 by a direct least-squares solve.
+    """Long-run state occupancy of the chain started at state 0.
 
-    Deterministic (0/1) matrices from degenerate channel limits are solved
-    exactly by cycle detection.  Otherwise the solver falls back to damped
-    power iteration when the direct solve produces negative mass or a
-    residual above residual_tol, and raises NumericalError if neither
-    route meets the tolerance.
+    pi = pi P with sum(pi) = 1 is one LU solve on the recurrent class that
+    the chain started at state 0 settles in, with the last balance equation
+    replaced by the normalisation; every other state gets zero mass.  On
+    that class the system is nonsingular even when degenerate links leave
+    other closed classes (packets held behind a pinned-Bad relay) or make
+    T0 transient (rounds that stall forever).  Raises NumericalError on
+    negative mass or a residual above residual_tol.
     """
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise ValueError("transition matrix must be square")
     if np.abs(mat.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError("matrix is not row-stochastic")
-    if np.all((mat == 0.0) | (mat == 1.0)):
-        return _deterministic_steady(mat)
 
-    system = np.vstack([mat.T - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    cls = _closed_class(mat)
+    system = mat[np.ix_(cls, cls)].T - np.eye(cls.size)
+    system[-1] = 1.0
+    rhs = np.zeros(cls.size)
+    rhs[-1] = 1.0
+    pi = np.zeros(n)
+    pi[cls] = np.linalg.solve(system, rhs)
 
-    def _finish(vec: np.ndarray) -> SteadyState | None:
-        if vec.min() < -1e-10:
-            return None
-        vec = np.clip(vec, 0.0, None)
-        vec = vec / vec.sum()
-        res = float(np.abs(vec @ mat - vec).max())
-        if res > residual_tol or abs(vec.sum() - 1.0) > 1e-12:
-            return None
-        return SteadyState(pi=vec, residual=res)
-
-    solved = _finish(pi)
-    if solved is None:
-        solved = _finish(_power_iteration(mat))
-    if solved is None:
+    if pi.min() < -1e-10:
+        raise NumericalError(f"steady-state solve gave negative mass {pi.min()}")
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
+    res = float(np.abs(pi @ mat - pi).max())
+    if res > residual_tol or abs(pi.sum() - 1.0) > 1e-12:
         raise NumericalError(
-            "steady-state solve failed: negative mass or residual above "
-            f"{residual_tol} from both the direct solve and power iteration"
+            f"steady-state residual {res} above {residual_tol} on a "
+            f"{cls.size}-state recurrent class"
         )
-    return solved
+    return SteadyState(pi=pi, residual=res)
 
 
 def throughput(space: SubStateSpace, steady: SteadyState | np.ndarray) -> float:

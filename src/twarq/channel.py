@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import iv, ive
@@ -277,10 +278,13 @@ class GilbertElliottParams:
         return cls(p_gb=1.0, p_bg=0.0)
 
 
+@lru_cache(maxsize=4096)
 def ge_transitions(p_out: float, rho: float) -> GilbertElliottParams:
     """Derive a link's two-state chain from (outage probability, correlation).
 
-    Uses the level-crossing form described in the module docstring.  The
+    Uses the level-crossing form described in the module docstring.  Results
+    are cached: a sweep asks for the same few links once per strategy, and
+    near rho = 1 one Marcum series costs tens of milliseconds.  The
     computed probabilities must land inside [-1e-9, 1 + 1e-9]; anything
     further out is treated as a broken Marcum Q evaluation rather than
     silently clamped.

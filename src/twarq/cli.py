@@ -47,20 +47,6 @@ _CSI_BY_FLAG = {m.value: m for m in CsiMode}
 _CONVENTION_BY_FLAG = {c.value: c for c in XorConvention}
 
 
-def _threads() -> int:
-    workers = min(8, os.cpu_count() or 1)
-    cap = os.environ.get("TWARQ_THREADS")
-    if cap is not None:
-        try:
-            cap_n = int(cap)
-        except ValueError:
-            raise ValueError(f"TWARQ_THREADS must be an integer, got {cap!r}")
-        if cap_n < 1:
-            raise ValueError(f"TWARQ_THREADS must be >= 1, got {cap_n}")
-        workers = min(workers, cap_n)
-    return workers
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One fully-resolved (strategy, channel parameters) row."""
@@ -188,7 +174,7 @@ def execute(spec: SweepSpec) -> list[str]:
     """Compute all rows, dispatching points to a worker pool but emitting
     them in deterministic order (strategy-major, axis-ascending)."""
     points = spec.points()
-    workers = _threads()
+    workers = min(8, os.cpu_count() or 1)
     if workers > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda p: _compute_row(spec, p), points))

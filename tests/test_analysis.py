@@ -141,6 +141,13 @@ def test_steady_state_two_state_swap():
     assert st.pi == pytest.approx([0.5, 0.5], abs=1e-14)
 
 
+def test_steady_state_solves_on_the_class_reached_from_state_0():
+    # two closed classes; a run started at state 0 never enters {2}
+    mat = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    st = steady_state(mat)
+    assert st.pi == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
+
+
 def test_steady_state_rejects_bad_matrix():
     with pytest.raises(ValueError):
         steady_state(np.array([[0.5, 0.2], [0.3, 0.7]]))
@@ -196,6 +203,28 @@ def test_all_bad_throughput_vanishes():
         st = steady_state(transition_matrix(space, model))
         assert throughput(space, st) == 0.0
         assert aggregate_coarse(space, st)[2] == 1.0
+
+
+def test_pinned_bad_relays_give_direct_link_throughput():
+    """Relays pinned Bad: the R rows with a packet held at a relay form
+    closed classes that a run started at T0 never enters, and every
+    cooperative strategy reduces to stop-and-wait over the direct link."""
+    model = JointChannelModel.from_outage(1.0, 1.0, 0.4, 0.5)
+    for strat in COOPERATIVE:
+        assert abs(analytic_throughput(strat, model) - 0.6) <= 1e-12, strat
+
+
+@pytest.mark.parametrize("outages,stalled", [
+    ((1.0, 0.3, 1.0), COOPERATIVE),
+    ((0.3, 1.0, 0.4), [Strategy.RR, Strategy.RR_NC]),
+], ids=["s1-isolated", "s2-relay-down"])
+def test_stalled_rounds_give_zero_throughput(outages, stalled):
+    """When every route the protocol gives a packet runs over a link pinned
+    Bad, its round stalls forever and T0 is transient; the solve must land
+    on a closed class, not on everything reachable from state 0."""
+    model = JointChannelModel.from_outage(*outages, 0.5)
+    for strat in stalled:
+        assert abs(analytic_throughput(strat, model)) <= 1e-12, strat
 
 
 def test_throughput_stays_in_unit_interval():

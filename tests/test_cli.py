@@ -43,6 +43,19 @@ def test_analytic_near_perfect(capsys):
     assert float(row["eta_analytic"]) > 0.999999
 
 
+def test_analytic_pinned_bad_relays(capsys):
+    """At -30 dB relay margin psr rounds to 1, so only the direct link
+    carries packets and every cooperative strategy reduces to 1 - pss."""
+    code, out = run_cli(
+        capsys, "analytic", "--strategy", "rr-nc", "--fs-db", "0",
+        "--fr-over-fs-db", "-30", "--rho", "0.5",
+    )
+    assert code == 0
+    (row,) = rows_of(out)
+    assert row["psr"] == "1"
+    assert row["eta_analytic"] == "0.367879441171"
+
+
 def test_simulate_perfect_point(capsys):
     code, out = run_cli(
         capsys, "simulate", "--strategy", "rr", "--fs-db", "120",
@@ -216,16 +229,6 @@ def test_all_packaged_figures_parse():
         spec = _figure_spec(parser, args)
         assert len(spec.points()) == n_rows, name
         assert spec.n_slots == 1_000_000 and spec.seed == 12345
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("TWARQ_THREADS", "zero")
-    with pytest.raises(SystemExit) as exc:
-        main(["analytic", "--strategy", "sw-arq", "--pss", "0.3"])
-    assert exc.value.code == 2
-    monkeypatch.setenv("TWARQ_THREADS", "1")
-    code, out = run_cli(capsys, "analytic", "--strategy", "sw-arq", "--pss", "0.3")
-    assert code == 0 and rows_of(out)[0]["eta_analytic"] == "0.7"
 
 
 def test_selftest_passes(capsys):
