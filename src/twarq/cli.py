@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -34,7 +32,7 @@ from .channel import (
 )
 from .exceptions import NumericalError
 from .protocol import Strategy, XorConvention
-from .simulate import CsiMode, SimConfig, run
+from .simulate import CsiMode, SimConfig, run, run_many
 
 CSV_HEADER = "strategy,rho,fs_db,fr_db,pss,psr,eta_analytic,eta_sim,sim_stderr,n_slots,seed"
 
@@ -127,60 +125,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _compute_row(spec: SweepSpec, point: SweepPoint) -> str:
-    model = JointChannelModel.symmetric(point.pss, point.psr, point.rho)
-    eta_analytic = None
-    eta_sim = None
-    stderr = None
-    n_slots = None
-    seed = None
-    if spec.engines in ("analytic", "both"):
-        if point.strategy is Strategy.SW_ARQ:
-            eta_analytic = sw_arq_throughput(point.pss)
-        else:
-            eta_analytic = analytic_throughput(point.strategy, model, spec.convention)
-    if spec.engines in ("simulate", "both"):
-        stats = run(
-            SimConfig(
-                strategy=point.strategy,
-                model=model,
-                n_slots=spec.n_slots,
-                seed=spec.seed,
-                csi_mode=point.csi_mode,
-                xor_convention=spec.convention,
-            )
-        )
-        eta_sim = stats.throughput_estimate
-        stderr = stats.std_error
-        n_slots = spec.n_slots
-        seed = spec.seed
-    fields = [
-        point.label,
-        _fmt(point.rho),
-        _fmt(point.fs_db),
-        _fmt(point.fr_db),
-        _fmt(point.pss),
-        _fmt(point.psr),
-        _fmt(eta_analytic),
-        _fmt(eta_sim),
-        _fmt(stderr),
-        _fmt(n_slots),
-        _fmt(seed),
-    ]
-    return ",".join(fields)
-
-
 def execute(spec: SweepSpec) -> list[str]:
-    """Compute all rows, dispatching points to a worker pool but emitting
-    them in deterministic order (strategy-major, axis-ascending)."""
+    """Compute all rows serially and emit them in deterministic order
+    (strategy-major, axis-ascending).  The analytic column is solved point
+    by point; the simulate column is one `run_many` call over all points, so
+    rows at one channel point share its path."""
     points = spec.points()
-    workers = min(8, os.cpu_count() or 1)
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _compute_row(spec, p), points))
-    else:
-        rows = [_compute_row(spec, p) for p in points]
-    return [CSV_HEADER] + rows
+    models = [JointChannelModel.symmetric(p.pss, p.psr, p.rho) for p in points]
+    etas = sims = [None] * len(points)
+    if spec.engines in ("analytic", "both"):
+        etas = [
+            sw_arq_throughput(p.pss) if p.strategy is Strategy.SW_ARQ
+            else analytic_throughput(p.strategy, m, spec.convention)
+            for p, m in zip(points, models)
+        ]
+    if spec.engines in ("simulate", "both"):
+        sims = run_many(
+            SimConfig(p.strategy, m, spec.n_slots, spec.seed, p.csi_mode, spec.convention)
+            for p, m in zip(points, models)
+        )
+    rows = [CSV_HEADER]
+    for p, eta, st in zip(points, etas, sims):
+        sim = (None,) * 4 if st is None else (
+            st.throughput_estimate, st.std_error, spec.n_slots, spec.seed)
+        fields = (p.rho, p.fs_db, p.fr_db, p.pss, p.psr, eta, *sim)
+        rows.append(",".join([p.label, *map(_fmt, fields)]))
+    return rows
 
 
 def _emit(rows: list[str], out_path: str | None) -> None:
@@ -256,10 +226,7 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
 
 def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
     """Validate merged flag/config values and assemble the sweep."""
-
-    def fail(message: str) -> None:
-        parser.error(message)
-
+    fail = parser.error
     raw_strategies = values.get("strategy")
     if not raw_strategies:
         fail("at least one --strategy is required")

@@ -223,19 +223,18 @@ class PolicyContext:
     phase: Phase = Phase.TRANSMISSION_1
     token: int = 0
     last_known: dict[LinkId, int] = field(default_factory=dict)
-    last_known_slot: dict[LinkId, int] = field(default_factory=dict)
 
-    def observe(self, link: LinkId, state_bit: int, slot: int) -> None:
+    def observe(self, link: LinkId, state_bit: int) -> None:
         self.last_known[link] = state_bit
-        self.last_known_slot[link] = slot
 
     def csi(self, link: LinkId) -> int:
         return self.last_known.get(link, GOOD)
 
-    def set_csi_from_index(self, chan_index: int, slot: int) -> None:
-        """Overwrite the whole view from a joint channel index."""
+    def set_csi_from_index(self, chan_index: int, slot: int | None = None) -> None:
+        """Overwrite the whole view from a joint channel index.  `slot` is
+        not read; the benchmark's protocol probe still passes one."""
         for link in LinkId:
-            self.observe(link, link_bit(chan_index, link), slot)
+            self.observe(link, link_bit(chan_index, link))
 
     def reset_round(self) -> None:
         self.phase = Phase.TRANSMISSION_1
@@ -481,7 +480,7 @@ def kernel(
             s = k * len(views) + v
             for chan in range(8):
                 ctx = PolicyContext(phase=_PHASE_OF[node.kind], token=node.token or 0)
-                ctx.set_csi_from_index(chan, -1)  # read by the genie view only
+                ctx.set_csi_from_index(chan)  # read by the genie view only
                 if node.kind == "R" and node.token is not None and row_designates_c(
                     strategy, node.b
                 ):
@@ -504,7 +503,7 @@ def kernel(
                 else:
                     b, token = out.state.b_index, None
                     if b in tokened:
-                        ctx.set_csi_from_index(seen, -1)
+                        ctx.set_csi_from_index(seen)
                         executed = state if node.kind == "R" else None
                         token = advance_token(strategy, ctx, executed, out.state).token
                     target = Node("R", b=b, token=token)

@@ -103,15 +103,15 @@ def simulate_reference(config: SimConfig) -> tuple[int, list[int]]:
         chan = int(path[k])
         if ctx.phase is Phase.RETRANSMISSION and strategy in _CR_FAMILY:
             if config.csi_mode is CsiMode.PREV_SLOT:
-                ctx.set_csi_from_index(prev_chan, k - 1)
+                ctx.set_csi_from_index(prev_chan)
             elif config.csi_mode is CsiMode.GENIE:
-                ctx.set_csi_from_index(chan, k)
+                ctx.set_csi_from_index(chan)
         action = policy_action(strategy, state, ctx)
         outcome = apply_slot(state, action, chan, config.xor_convention)
         if ctx.phase is Phase.RETRANSMISSION and strategy in _AR_FAMILY:
             advance_token(strategy, ctx, state, outcome.state)
         for link, bit in outcome.observed:
-            ctx.observe(link, bit, k)
+            ctx.observe(link, bit)
         state = outcome.state
 
         if round_complete(state):

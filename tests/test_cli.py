@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -189,6 +190,28 @@ def test_figure_fig9csi_small(tmp_path):
     assert labels == {"cr-nc:prev", "cr-nc:last-known", "cr-nc:genie"}
 
 
+# SHA-256 of the strategy, eta_sim and sim_stderr columns (header included)
+# of `twarq figure NAME --n-slots 20000 --seed 12345`, recorded from the
+# row-by-row simulator.  These columns are integer counts and PCG64 draws, so
+# they do not depend on the BLAS, unlike the last digit of eta_analytic.
+PINNED_SIM_COLUMNS = {
+    "fig4": "843abeffdd9830c1701da43103fba3235534a741396f1ea4d1b78e776eba267b",
+    "fig7": "7cf308f455830bdbc3bd645b732a0d5508152de18d8ec04e7127d431f4728f66",
+    "fig9csi": "512a7e4c3e97718bc454fc29a2f4e7b9d84ccae6b628ebfc2cfa77f8f96168a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SIM_COLUMNS))
+def test_figure_simulate_columns_pinned(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert main(["figure", name, "--n-slots", "20000", "--seed", "12345",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    cols = [rows[0].index(c) for c in ("strategy", "eta_sim", "sim_stderr")]
+    body = "\n".join(",".join(row[c] for c in cols) for row in rows) + "\n"
+    assert hashlib.sha256(body.encode()).hexdigest() == PINNED_SIM_COLUMNS[name]
+
+
 def test_fig7_low_margin_ordering():
     """The packaged quasi-static equal-margin sweep shows the relay-bound
     strategy dropping below the no-relay baseline at low direct margin."""
@@ -205,10 +228,10 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     import twarq.cli as cli
     from twarq.exceptions import NumericalError
 
-    def boom(config):
+    def boom(configs):
         raise NumericalError("synthetic steady-state failure")
 
-    monkeypatch.setattr(cli, "run", boom)
+    monkeypatch.setattr(cli, "run_many", boom)
     code = main(["simulate", "--strategy", "rr", "--pss", "0.5", "--n-slots", "100"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err

@@ -32,7 +32,7 @@ def _retx_ctx(token=0, csi=None):
     ctx = PolicyContext(phase=Phase.RETRANSMISSION, token=token)
     if csi is not None:
         for link, bit in csi.items():
-            ctx.observe(link, bit, 0)
+            ctx.observe(link, bit)
     return ctx
 
 
@@ -286,10 +286,10 @@ def test_token_xor_row_fixed_only_with_nc():
 
 def test_token_csi_recompute():
     ctx = _retx_ctx()
-    ctx.set_csi_from_index(_chan(1, 0, 1), 5)  # S2R bad, direct good
+    ctx.set_csi_from_index(_chan(1, 0, 1))  # S2R bad, direct good
     advance_token(Strategy.CR_NC, ctx, None, ArqState.from_b_index(2))
     assert ctx.token == 1  # source retransmits p1
-    ctx.set_csi_from_index(_chan(1, 1, 1), 6)
+    ctx.set_csi_from_index(_chan(1, 1, 1))
     advance_token(Strategy.CR_NC, ctx, None, ArqState.from_b_index(2))
     assert ctx.token == 0
 
@@ -302,7 +302,7 @@ def test_token_untouched_for_rr():
 
 def test_context_round_reset():
     ctx = _retx_ctx(token=1)
-    ctx.observe(LinkId.S1R, BAD, 9)
+    ctx.observe(LinkId.S1R, BAD)
     ctx.reset_round()
     assert ctx.phase is Phase.TRANSMISSION_1 and ctx.token == 0
     # channel knowledge survives the round boundary
@@ -341,7 +341,7 @@ def test_reachable_states_safe_by_exhaustive_walk():
             for view_bits in range(8):
                 ctx = _retx_ctx(token)
                 ctx.phase = phase
-                ctx.set_csi_from_index(view_bits, 0)
+                ctx.set_csi_from_index(view_bits)
                 action = policy_action(strat, state, ctx)
                 for chan in range(8):
                     out = apply_slot(state, action, chan)

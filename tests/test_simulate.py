@@ -24,6 +24,7 @@ from twarq.simulate import (
     _walk,
     run,
     run_csi_comparison,
+    run_many,
 )
 
 from _oracles import link_path_scalar, simulate_reference, walk_reference
@@ -160,7 +161,7 @@ def walk_path():
 
 
 def _walk_in_blocks(path, fsm):
-    return _walk((path[lo : lo + _BLOCK] for lo in range(0, path.shape[0], _BLOCK)), *fsm)
+    return _walk((path[lo : lo + _BLOCK] for lo in range(0, path.shape[0], _BLOCK)), [fsm])[0]
 
 
 @pytest.mark.parametrize("strategy,convention,mode", WALK_CASES,
@@ -183,6 +184,51 @@ def test_walk_matches_sequential_reference(strategy, convention, mode, walk_path
     expected = walk_reference(path, strategy, convention, mode)
     assert expected.size and expected[0] > outage
     assert np.array_equal(_walk_in_blocks(path, fsm), expected)
+
+
+def _walk_group_in_blocks(path, fsms):
+    return _walk((path[lo : lo + _BLOCK] for lo in range(0, path.shape[0], _BLOCK)), fsms)
+
+
+def test_grouped_walk_matches_sequential_reference(walk_path):
+    """All walk cases stepped in one lockstep group over one path: each
+    machine completes rounds at exactly the slots its sequential walk does."""
+    fsms = [_fsm(*case) for case in WALK_CASES]
+    expected = [walk_reference(walk_path, *case) for case in WALK_CASES]
+    for horizon in WALK_HORIZONS:
+        got = _walk_group_in_blocks(walk_path[:horizon], fsms)
+        assert len(got) == len(WALK_CASES)
+        for case, g, e in zip(WALK_CASES, got, expected):
+            assert np.array_equal(g, e[e < horizon]), (horizon, case)
+
+    outage = 5 * _CHUNK + 3
+    path = np.concatenate(([7], np.zeros(outage, dtype=np.int8), walk_path[:3000]))
+    for case, g in zip(WALK_CASES, _walk_group_in_blocks(path, fsms)):
+        expected = walk_reference(path, *case)
+        assert expected.size and expected[0] > outage
+        assert np.array_equal(g, expected), case
+
+
+def test_run_many_equals_run_in_input_order():
+    """Interleaved configurations over two models and two seeds: grouping
+    by channel path does not change any result or its position."""
+    other = model_for(0.3, 0.0, 0.9)
+    configs = [
+        SimConfig(Strategy.RR_NC, MODEL, 30_000, 1),
+        SimConfig(Strategy.CR_NC, other, 30_000, 2, csi_mode=CsiMode.LAST_KNOWN),
+        SimConfig(Strategy.AR, MODEL, 30_000, 2),
+        SimConfig(Strategy.CR, MODEL, 30_000, 1, csi_mode=CsiMode.GENIE),
+        SimConfig(Strategy.SW_ARQ, other, 30_000, 1),
+        SimConfig(Strategy.RR_NC, MODEL, 30_000, 1, xor_convention=XorConvention.PHYSICAL),
+        SimConfig(Strategy.CR_NC, other, 30_000, 2),
+        SimConfig(Strategy.RR_NC, MODEL, 30_000, 1),
+        SimConfig(Strategy.RR_NC, MODEL, 30_000, 1, csi_mode=CsiMode.GENIE),
+    ]
+    got = run_many(configs)
+    assert len(got) == len(configs)
+    for cfg, stats in zip(configs, got):
+        assert stats == run(cfg)
+        assert stats.config is cfg
 
 
 PINNED_SLOTS = 800_000  # three blocks and part of a fourth
