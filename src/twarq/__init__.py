@@ -21,15 +21,12 @@ from .channel import (
     GilbertElliottParams,
     JointChannelModel,
     LinkId,
-    LinkParams,
     db_to_linear,
     fading_margin_from_outage,
     ge_transitions,
     joint_matrix,
     linear_to_db,
-    marcum_q,
     outage_probability,
-    sample_next,
     stationary_link,
 )
 from .exceptions import NumericalError, ProtocolError
@@ -61,7 +58,6 @@ __all__ = [
     "GilbertElliottParams",
     "JointChannelModel",
     "LinkId",
-    "LinkParams",
     "NodeId",
     "NumericalError",
     "Payload",
@@ -86,7 +82,6 @@ __all__ = [
     "ge_transitions",
     "joint_matrix",
     "linear_to_db",
-    "marcum_q",
     "outage_probability",
     "policy_action",
     "resolve_c",
@@ -94,7 +89,6 @@ __all__ = [
     "run",
     "run_csi_comparison",
     "run_many",
-    "sample_next",
     "stationary_link",
     "steady_state",
     "sw_arq_throughput",

@@ -11,8 +11,21 @@ bivariate Rayleigh level-crossing form
     p_bg = p_gb * (1 - P) / P,
 
 with theta = sqrt((2/F) / (1 - rho^2)) and Q the first-order Marcum Q
-function.  At rho = 0 this collapses to the memoryless chain p_gb = P,
-p_bg = 1 - P.
+function.  The difference is evaluated as one integral whose terms are all
+non-negative, so nothing cancels however close rho is to 1:
+
+    p_gb = -expm1(-a) + exp(-a) * (2/pi) * integral_0^inf
+               -expm1(-b t^2 / (1 + k^2 t^2)) dt / (1 + t^2),
+
+with L = 2/F = -2 ln(1 - P), k = (1 - rho)/(1 + rho), a = L k / 2 and
+b = 2 rho L k / (1 + rho)^2.  It follows from the trigonometric (Craig)
+form of Q (Simon & Alouini, Digital Communication over Fading Channels,
+2nd ed., 2005, ch. 4): with exp(-c) I0(rho theta^2) written as a circle
+average, the difference has the Poisson kernel
+(1 - rho^2) / (1 - 2 rho cos(phi) + rho^2) as its weight, and the
+substitution t = tan(psi/2), phi = 2 atan(k t) makes that weight uniform.
+At rho = 0, b = 0 and the memoryless chain p_gb = P, p_bg = 1 - P comes
+out exactly.
 
 The network has three such links: source1-relay, source2-relay, and the
 direct source1-source2 link.  They fade independently, so the joint channel
@@ -28,7 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import iv, ive
 
 from .exceptions import NumericalError
 
@@ -38,25 +50,20 @@ __all__ = [
     "GilbertElliottParams",
     "JointChannelModel",
     "LinkId",
-    "LinkParams",
     "db_to_linear",
     "fading_margin_from_outage",
     "ge_transitions",
     "joint_matrix",
     "linear_to_db",
     "link_bit",
-    "marcum_q",
     "outage_probability",
     "sample_link_path",
-    "sample_next",
     "stationary_link",
     "with_link_bit",
 ]
 
 BAD = 0
 GOOD = 1
-
-N_JOINT_STATES = 8
 
 
 class LinkId(enum.IntEnum):
@@ -93,132 +100,42 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-def marcum_q(a: float, b: float) -> float:
-    """First-order Marcum Q function Q(a, b).
+# 24-point Gauss-Legendre rule on [-1, 1], applied panel by panel in u = ln t.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
-    Q(a,b) = integral_b^inf x * exp(-(x^2 + a^2)/2) * I0(a*x) dx, the tail
-    probability of a Rician envelope.  Evaluated by the canonical modified
-    Bessel series with exponential scaling,
 
-        Q(a,b) = exp(-(b-a)^2/2) * sum_k (a/b)^k * ive(k, a*b),
+def _good_to_bad(p_out: float, rho: float) -> float:
+    """p_gb by the integral of the module docstring, every term non-negative.
 
-    truncated adaptively once terms fall below 1e-16 of the running sum.
-    The series is summed with a <= b only; for a > b the complement
-    identity Q(a,b) = 1 + exp(-(a-b)^2/2)*ive(0, a*b) - Q(b,a) keeps the
-    term ratio below one.  Absolute accuracy is ~1e-15 for arguments up to
-    the theta values produced by any valid (P, rho) pair.
+    The integrand changes shape at t = 1/sqrt(b) and t = 1/k, so the u = ln t
+    axis is cut there, and each piece is covered by Gauss-Legendre panels at
+    most 2 wide.  They run from 20 below the lower cut, or below t = 1 where
+    the weight turns, to 20 above 1/k.  Past that the integrand is its limit
+    -expm1(-b/k^2) times the weight, whose tail integral is atan(1/t).
+    1/sqrt(b) is clipped at 1/k, which keeps t^2 finite for subnormal rho.
     """
-    if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0:
-        raise ValueError(f"marcum_q needs finite a >= 0, b >= 0, got a={a}, b={b}")
+    big_l = -2.0 * math.log1p(-p_out)
+    k = (1.0 - rho) / (1.0 + rho)
+    a = 0.5 * big_l * k
+    b = 2.0 * rho * big_l * k / (1.0 + rho) ** 2
+    head = -math.expm1(-a)
     if b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return math.exp(-0.5 * b * b)
-    if a > b:
-        crossing = math.exp(-0.5 * (a - b) ** 2) * float(ive(0, a * b))
-        return min(1.0, 1.0 + crossing - marcum_q(b, a))
-
-    ratio = a / b
-    ab = a * b
-    if ab <= 1e-8:
-        # library Bessel functions misbehave for near-underflow arguments;
-        # here sum_k (a/b)^k ive(k, ab) = e^{-ab} sum_k (a^2/2)^k / k! to
-        # relative accuracy (ab)^2/4 <= 2.5e-17, so truncate analytically
-        poly = 1.0 + 0.5 * a * a * (1.0 + 0.25 * a * a)
-        return min(1.0, math.exp(-0.5 * (b - a) ** 2 - ab) * poly)
-    total = 0.0
-    block = 64
-    k0 = 0
-    while k0 < 200_000:
-        ks = np.arange(k0, k0 + block)
-        terms = ratio**ks * ive(ks, ab)
-        total += float(terms.sum())
-        if terms[-1] <= 1e-16 * total:
-            break
-        k0 += block
-    else:
-        raise NumericalError(f"marcum_q series failed to converge for a={a}, b={b}")
-    return min(1.0, math.exp(-0.5 * (b - a) ** 2) * total)
-
-
-def _i0_minus_1(x: float) -> float:
-    """I0(x) - 1 by its power series; library i0 is only accurate to 1 ulp
-    of I0 itself, which is far too coarse when the excess over 1 matters."""
-    if x == 0.0:
-        return 0.0
-    q = 0.25 * x * x
-    term = q
-    total = q
-    k = 1
-    while True:
-        k += 1
-        term *= q / (k * k)
-        if term <= 1e-17 * total:
-            return total + term
-        total += term
-        if k > 500:
-            raise NumericalError(f"I0 excess series stalled at x={x}")
-
-
-def _marcum_tail_diff(theta_sq: float, rho: float) -> float:
-    """Q(theta, rho*theta) - Q(rho*theta, theta) without cancellation.
-
-    The naive difference of two Marcum Q values near 1 loses all relative
-    precision for small theta (near-perfect links).  Substituting the series
-    for both terms and using the complement identity collapses the
-    difference to
-
-        D = 1 - exp(-c) * S,
-        S = I0(ab) + 2 * sum_{k>=1} rho^k I_k(ab),
-        c = theta^2 (1 + rho^2) / 2,   ab = rho * theta^2,
-
-    which evaluates stably as -expm1(log(S) - c): via log1p of the small
-    excess S-1 when ab is modest, and via exponentially scaled Bessel terms
-    in log space when ab is large.
-    """
-    ab = rho * theta_sq
-    c = 0.5 * (1.0 + rho * rho) * theta_sq
-
-    if ab <= 1e-8:
-        # I0(ab)-1 + 2 sum rho^k I_k(ab) to second order in ab; the library
-        # Bessel routines underflow or return NaN this far down
-        excess = ab * (rho + 0.25 * ab * (1.0 + rho * rho))
-        return -math.expm1(math.log1p(excess) - c)
-
-    if ab <= 30.0:
-        excess = _i0_minus_1(ab)
-        if rho > 0.0:
-            k0 = 1
-            while True:
-                ks = np.arange(k0, k0 + 64)
-                terms = 2.0 * rho**ks * iv(ks, ab)
-                excess += float(terms.sum())
-                if terms[-1] <= 1e-17 * (1.0 + excess):
-                    break
-                k0 += 64
-                if k0 > 20_000:
-                    raise NumericalError(
-                        f"tail-difference series stalled at theta^2={theta_sq}, rho={rho}"
-                    )
-        return -math.expm1(math.log1p(excess) - c)
-
-    scaled = float(ive(0, ab))
-    k0 = 1
-    while True:
-        ks = np.arange(k0, k0 + 64)
-        terms = 2.0 * rho**ks * ive(ks, ab)
-        scaled += float(terms.sum())
-        if terms[-1] <= 1e-17 * scaled:
-            break
-        k0 += 64
-        if k0 > 200_000:
-            raise NumericalError(
-                f"tail-difference series stalled at theta^2={theta_sq}, rho={rho}"
-            )
-    # c - ab reduces to theta^2 (1-rho)^2 / 2 exactly; using the product form
-    # avoids subtracting two large near-equal exponents.
-    gap = 0.5 * theta_sq * (1.0 - rho) ** 2
-    return -math.expm1(math.log(scaled) - gap)
+        return head
+    u_k = -math.log(k)
+    u_b = min(-0.5 * math.log(b), u_k)
+    cuts = (min(u_b, 0.0) - 20.0, u_b, u_k, u_k + 20.0)
+    edges = np.unique(np.concatenate([
+        np.linspace(lo, hi, max(1, math.ceil((hi - lo) / 2.0)) + 1)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]))
+    half = 0.5 * np.diff(edges)
+    u = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
+    t_sq = np.exp(2.0 * u)
+    # dt / (1 + t^2) = du / (2 cosh u)
+    integrand = -np.expm1(-b * t_sq / (1.0 + k * k * t_sq)) / (2.0 * np.cosh(u))
+    body = float(integrand @ (half[:, None] * _GL_WEIGHTS).ravel())
+    tail = -math.expm1(-b / (k * k)) * math.atan(math.exp(-cuts[-1]))
+    return head + math.exp(-a) * (2.0 / math.pi) * (body + tail)
 
 
 def outage_probability(fading_margin: float) -> float:
@@ -282,22 +199,17 @@ class GilbertElliottParams:
 def ge_transitions(p_out: float, rho: float) -> GilbertElliottParams:
     """Derive a link's two-state chain from (outage probability, correlation).
 
-    Uses the level-crossing form described in the module docstring.  Results
-    are cached: a sweep asks for the same few links once per strategy, and
-    near rho = 1 one Marcum series costs tens of milliseconds.  The
-    computed probabilities must land inside [-1e-9, 1 + 1e-9]; anything
-    further out is treated as a broken Marcum Q evaluation rather than
-    silently clamped.
+    Uses the level-crossing integral of the module docstring.  Results are
+    cached: each sweep asks for every link once per strategy.  The computed
+    probabilities must land inside [-1e-9, 1 + 1e-9]; anything further out
+    is treated as a broken evaluation rather than silently clamped.
     """
     if not 0.0 < p_out < 1.0:
         raise ValueError(f"outage probability must be in (0, 1), got {p_out}")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"correlation must be in [0, 1), got {rho}")
 
-    # theta^2 = (2/F)/(1-rho^2) with 2/F = -2 ln(1-P), kept squared so the
-    # rho = 0 limit reproduces P = -expm1(-1/F) to the last bit.
-    theta_sq = -2.0 * math.log1p(-p_out) / (1.0 - rho * rho)
-    p_gb = _marcum_tail_diff(theta_sq, rho)
+    p_gb = _good_to_bad(p_out, rho)
     p_bg = p_gb * (1.0 - p_out) / p_out
 
     band = 1e-9
@@ -305,7 +217,7 @@ def ge_transitions(p_out: float, rho: float) -> GilbertElliottParams:
         if not -band <= p <= 1.0 + band:
             raise NumericalError(
                 f"{name}={p} outside [{-band}, {1 + band}] for "
-                f"p_out={p_out}, rho={rho}; Marcum Q looks broken"
+                f"p_out={p_out}, rho={rho}; the level-crossing integral looks broken"
             )
     return GilbertElliottParams(
         p_gb=min(1.0, max(0.0, p_gb)),
@@ -319,35 +231,6 @@ def stationary_link(ge: GilbertElliottParams) -> tuple[float, float]:
     if denom == 0.0:
         raise ValueError("degenerate chain: p_gb = p_bg = 0 has no unique stationary law")
     return ge.p_gb / denom, ge.p_bg / denom
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    """(fading margin, correlation) description of one link, margins linear."""
-
-    fading_margin: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not self.fading_margin > 0.0:
-            raise ValueError(f"fading margin must be positive, got {self.fading_margin}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"correlation must be in [0, 1), got {self.rho}")
-
-    @property
-    def outage_prob(self) -> float:
-        return outage_probability(self.fading_margin)
-
-    @classmethod
-    def from_outage(cls, p_out: float, rho: float) -> "LinkParams":
-        return cls(fading_margin_from_outage(p_out), rho)
-
-    @classmethod
-    def from_margin_db(cls, margin_db: float, rho: float) -> "LinkParams":
-        return cls(db_to_linear(margin_db), rho)
-
-    def chain(self) -> GilbertElliottParams:
-        return ge_transitions(self.outage_prob, self.rho)
 
 
 @dataclass(frozen=True)
@@ -395,19 +278,6 @@ def joint_matrix(model: JointChannelModel) -> np.ndarray:
     return np.kron(np.kron(s1r, s2r), s1s2)
 
 
-def sample_next(model: JointChannelModel, i: int, rng: np.random.Generator) -> int:
-    """Advance the joint chain one slot; one uniform per link, S1R first."""
-    if not 0 <= i < N_JOINT_STATES:
-        raise ValueError(f"joint channel index must be in 0..7, got {i}")
-    j = 0
-    for link in LinkId:
-        ge = model.link(link)
-        p_good = ge.p_bg if link_bit(i, link) == BAD else ge.p_gg
-        bit = 1 if rng.random() < p_good else 0
-        j |= bit << _LINK_SHIFT[link]
-    return j
-
-
 def sample_link_path(
     ge: GilbertElliottParams,
     n_slots: int,
@@ -423,8 +293,8 @@ def sample_link_path(
     carry the last state forward draws exactly what one call over the whole
     horizon draws.
 
-    Transitions map a uniform u exactly like sample_next (next is Good iff
-    u < p_bg from Bad, u < p_gg from Good).  That rule is equivalent to a
+    A transition maps a uniform u to the next state: Good iff u < p_bg from
+    Bad, u < p_gg from Good.  That rule is equivalent to a
     forced-renewal form that vectorises for any chain: u < min(p_bg, p_gg)
     forces Good, u >= max(p_bg, p_gg) forces Bad, and in between the state
     holds when p_bg <= p_gg and toggles when p_bg > p_gg.  A slot's state is

@@ -1,7 +1,9 @@
 """Independent reference implementations the tests check the package against.
 
-The Marcum Q oracle integrates the defining Rician tail directly, the
-stationary-law oracle is damped power iteration, and the link sampler steps
+The Marcum Q oracles integrate the defining Rician tail directly, one with
+scipy's adaptive quadrature and one at 40 digits in mpmath, which stays
+exact where rho is so close to 1 that the link chain's p_gb is a difference
+of two Q values agreeing to 12 digits.  The stationary-law oracle is damped power iteration, and the link sampler steps
 the two-state chain scalar-wise.  The protocol oracle replays the state
 machine slot by slot through the public protocol API, not through
 protocol.kernel, so it checks the kernel.  The walk oracle does read the
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ive
@@ -57,6 +60,24 @@ def marcum_q_quad(a: float, b: float) -> float:
     return head + tail
 
 
+def marcum_q_mp(a, b, dps: int = 40) -> mpmath.mpf:
+    """Q(a, b) as the Rician tail integral of x exp(-(x^2 + a^2)/2) I0(a x)
+    over [b, inf), at `dps` digits.
+
+    Pass mpf arguments computed at that precision when the inputs
+    themselves must be exact to more than 16 digits.  The integration range
+    is cut at the density's peak near x = a and 20 on either side of it.
+    """
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+        def density(x):
+            return x * mpmath.exp(-(x * x + a * a) / 2) * mpmath.besseli(0, a * x)
+
+        cuts = [b] + [x for x in (a - 20, a, a + 20) if x > b] + [mpmath.inf]
+        return mpmath.quad(density, cuts)
+
+
 def stationary_power_iteration(mat: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """Damped power iteration; averaging makes periodic chains converge."""
     n = mat.shape[0]
@@ -71,7 +92,8 @@ def stationary_power_iteration(mat: np.ndarray, tol: float = 1e-14) -> np.ndarra
 
 
 def link_path_scalar(ge: GilbertElliottParams, n_slots: int, rng) -> np.ndarray:
-    """Step the two-state chain one uniform at a time (sample_next's rule)."""
+    """Step the two-state chain one uniform at a time: the next state is
+    Good iff u < p_bg from Bad, u < p_gg from Good."""
     pi_bad = ge.p_gb / (ge.p_gb + ge.p_bg)
     cur = 0 if rng.random() < pi_bad else 1
     out = np.empty(n_slots, dtype=np.int8)

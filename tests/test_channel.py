@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,63 +10,46 @@ from twarq.channel import (
     GilbertElliottParams,
     JointChannelModel,
     LinkId,
-    LinkParams,
     db_to_linear,
     fading_margin_from_outage,
     ge_transitions,
     joint_matrix,
     linear_to_db,
     link_bit,
-    marcum_q,
     outage_probability,
     sample_link_path,
-    sample_next,
     stationary_link,
 )
+from twarq.simulate import _channel_path
 
-from _oracles import link_path_scalar, marcum_q_quad
+from _oracles import link_path_scalar, marcum_q_mp, marcum_q_quad
 
 GRID_01 = np.linspace(0.05, 0.95, 19)
 
 
 # ---------------------------------------------------------------------------
-# Marcum Q
+# Marcum Q oracles (the references the link chain is checked against)
 # ---------------------------------------------------------------------------
 
 
 def test_marcum_full_density_integrates_to_one():
-    assert marcum_q(2.5, 0.0) == 1.0
+    assert marcum_q_mp(2.5, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_marcum_rayleigh_reduction():
     # I0(0) = 1 collapses the integrand to the Rayleigh tail.
-    assert marcum_q(0.0, 1.5) == pytest.approx(math.exp(-1.125), abs=1e-15)
+    assert marcum_q_mp(0.0, 1.5) == pytest.approx(math.exp(-1.125), abs=1e-15)
 
 
 def test_marcum_equal_arguments_frozen():
     # frozen from the quadrature oracle (err estimate 8e-15)
-    assert marcum_q(1.0, 1.0) == pytest.approx(0.7328798037968204, abs=1e-12)
+    assert marcum_q_mp(1.0, 1.0) == pytest.approx(0.7328798037968204, abs=1e-12)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.5, 4.0, 5.0])
 @pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 1.7, 3.0, 5.0])
 def test_marcum_matches_quadrature(a, b):
-    assert marcum_q(a, b) == pytest.approx(marcum_q_quad(a, b), abs=1e-12)
-
-
-def test_marcum_complement_identity():
-    grid = np.linspace(0.0, 5.0, 9)
-    for a in grid:
-        for b in grid:
-            lhs = marcum_q(a, b) + marcum_q(b, a)
-            rhs = 1.0 + math.exp(-0.5 * (a * a + b * b)) * float(np.i0(a * b))
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-@pytest.mark.parametrize("a,b", [(-1.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (math.inf, 1.0)])
-def test_marcum_domain_errors(a, b):
-    with pytest.raises(ValueError):
-        marcum_q(a, b)
+    assert float(marcum_q_mp(a, b)) == pytest.approx(marcum_q_quad(a, b), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +149,50 @@ def test_ge_domain_errors(p_out, rho):
         ge_transitions(p_out, rho)
 
 
+@pytest.mark.parametrize(
+    "p_out,rho",
+    [(0.7, 0.999999999), (0.9, 0.999999999), (0.999, 0.999999999),
+     (0.5, 0.999999999999), (0.3, 0.9)],
+)
+def test_ge_matches_mp_oracle_near_one(p_out, rho):
+    # theta is formed at 40 digits from the same float inputs: near rho = 1,
+    # p_gb is a difference of two Q values that agree to 12 digits
+    with mpmath.workdps(40):
+        p, r = mpmath.mpf(p_out), mpmath.mpf(rho)
+        theta = mpmath.sqrt(-2 * mpmath.log1p(-p) / ((1 - r) * (1 + r)))
+        oracle = marcum_q_mp(theta, r * theta) - marcum_q_mp(r * theta, theta)
+    assert ge_transitions(p_out, rho).p_gb == pytest.approx(float(oracle), rel=1e-12)
+
+
 @given(
     st.floats(min_value=1e-4, max_value=1 - 1e-4),
-    st.floats(min_value=0.0, max_value=0.999),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
 @settings(max_examples=60, deadline=None)
 def test_ge_balance_property(p_out, rho):
     ge = ge_transitions(p_out, rho)
     assert 0.0 <= ge.p_gb <= 1.0 and 0.0 <= ge.p_bg <= 1.0
     assert abs((1.0 - p_out) * ge.p_gb - p_out * ge.p_bg) < 1e-12
+
+
+@given(
+    # far below 1e-12, a and b of the integral underflow to subnormals near
+    # rho = 1 and keep only a few digits
+    st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_ge_not_increasing_in_correlation_property(p_out, rho_a, rho_b):
+    lo, hi = sorted((rho_a, rho_b))
+    # a few ulps of slack: at equal or adjacent rho the values tie up to rounding
+    assert ge_transitions(p_out, hi).p_gb <= ge_transitions(p_out, lo).p_gb * (1 + 1e-14)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=60, deadline=None)
+def test_ge_memoryless_exact_property(p_out):
+    assert ge_transitions(p_out, 0.0).p_gb == -math.expm1(math.log1p(-p_out))
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +224,6 @@ def test_stationary_consistency_grid():
 def test_stationary_degenerate_error():
     with pytest.raises(ValueError):
         stationary_link(GilbertElliottParams(0.0, 0.0))
-
-
-def test_link_params_constructors():
-    lp = LinkParams.from_outage(0.3, 0.5)
-    assert lp.outage_prob == pytest.approx(0.3, abs=1e-14)
-    assert LinkParams.from_margin_db(10.0, 0.0).fading_margin == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        LinkParams(-1.0, 0.5)
-    with pytest.raises(ValueError):
-        LinkParams(1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,36 +273,20 @@ def test_joint_memoryless_rows_identical():
 # ---------------------------------------------------------------------------
 
 
-def test_sample_next_frozen_chain():
-    frozen = GilbertElliottParams(0.0, 0.0)
-    model = JointChannelModel(frozen, frozen, frozen)
-    rng = np.random.default_rng(0)
-    for i in range(8):
-        assert sample_next(model, i, rng) == i
-
-
-def test_sample_next_perfect_channels():
-    model = JointChannelModel.from_outage(0.0, 0.0, 0.0, 0.0)
-    rng = np.random.default_rng(0)
-    for i in range(8):
-        assert sample_next(model, i, rng) == 7
-
-
-def test_sample_next_empirical_distribution():
+def test_channel_path_empirical_distribution():
+    """The joint transitions of the path the engines walk follow joint_matrix."""
     model = JointChannelModel(
         ge_transitions(0.3, 0.6), ge_transitions(0.15, 0.2), ge_transitions(0.5, 0.8)
     )
     mat = joint_matrix(model)
-    rng = np.random.default_rng(1234)
-    start = 2
-    n = 1_000_000
-    counts = np.zeros(8)
-    for _ in range(n):
-        counts[sample_next(model, start, rng)] += 1
-    for j in range(8):
-        p = mat[start, j]
-        sigma = math.sqrt(p * (1.0 - p) / n)
-        assert abs(counts[j] / n - p) <= 4.0 * sigma + 1e-12, (j, counts[j] / n, p)
+    path = _channel_path(model, 1_000_000, 1234).astype(np.int64)
+    counts = np.bincount(8 * path[:-1] + path[1:], minlength=64).reshape(8, 8)
+    for i in range(8):
+        n = counts[i].sum()
+        for j in range(8):
+            p = mat[i, j]
+            sigma = math.sqrt(p * (1.0 - p) / n)
+            assert abs(counts[i, j] / n - p) <= 4.0 * sigma + 1e-12, (i, j, counts[i, j] / n, p)
 
 
 @pytest.mark.parametrize(

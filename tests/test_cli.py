@@ -44,6 +44,22 @@ def test_analytic_near_perfect(capsys):
     assert float(row["eta_analytic"]) > 0.999999
 
 
+@pytest.mark.parametrize(
+    "rho,pss",
+    [("0.999999999", "0.7"), ("0.999999999", "0.9"), ("0.999999999", "0.999"),
+     ("0.999999999999", "0.5")],
+)
+def test_analytic_quasi_static_points(capsys, rho, pss):
+    """Points this close to rho = 1 once stalled the link-chain evaluation."""
+    strategies = ("sw-arq", "rr", "rr-nc", "ar", "ar-nc", "cr", "cr-nc")
+    flags = [f for name in strategies for f in ("--strategy", name)]
+    code, out = run_cli(capsys, "analytic", *flags, "--rho", rho, "--pss", pss)
+    assert code == 0
+    rows = rows_of(out)
+    assert [row["strategy"] for row in rows] == list(strategies)
+    assert all(0.0 < float(row["eta_analytic"]) <= 1.0 for row in rows)
+
+
 def test_analytic_pinned_bad_relays(capsys):
     """At -30 dB relay margin psr rounds to 1, so only the direct link
     carries packets and every cooperative strategy reduces to 1 - pss."""
