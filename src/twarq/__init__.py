@@ -10,6 +10,7 @@ from .analysis import (
     SubState,
     SubStateSpace,
     aggregate_coarse,
+    analytic_many,
     analytic_throughput,
     enumerate_substates,
     steady_state,
@@ -74,6 +75,7 @@ __all__ = [
     "XorConvention",
     "advance_token",
     "aggregate_coarse",
+    "analytic_many",
     "analytic_throughput",
     "apply_slot",
     "db_to_linear",

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +54,7 @@ __all__ = [
     "db_to_linear",
     "fading_margin_from_outage",
     "ge_transitions",
+    "joint_matrices",
     "joint_matrix",
     "linear_to_db",
     "link_bit",
@@ -101,11 +103,29 @@ def linear_to_db(x: float) -> float:
 
 
 # 24-point Gauss-Legendre rule on [-1, 1], applied panel by panel in u = ln t.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# It is symmetric, so only the positive nodes and their weights are written
+# out: np.polynomial.legendre.leggauss(24) to the last bit (a test checks),
+# without loading numpy.polynomial and a LAPACK eigensolver at import.
+_GL_HALF_NODES = np.array([
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+    0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+    0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+    0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+    0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 
 
 def _good_to_bad(p_out: float, rho: float) -> float:
     """p_gb by the integral of the module docstring, every term non-negative.
+
+    L is kept factored out of a = L*alpha and b = L*beta: each -expm1(-L x)
+    is evaluated as L * x * phi(L x) with phi(y) = -expm1(-y)/y, so nothing
+    underflows when P, and with it L, is near 1e-300.
 
     The integrand changes shape at t = 1/sqrt(b) and t = 1/k, so the u = ln t
     axis is cut there, and each piece is covered by Gauss-Legendre panels at
@@ -116,26 +136,35 @@ def _good_to_bad(p_out: float, rho: float) -> float:
     """
     big_l = -2.0 * math.log1p(-p_out)
     k = (1.0 - rho) / (1.0 + rho)
-    a = 0.5 * big_l * k
-    b = 2.0 * rho * big_l * k / (1.0 + rho) ** 2
-    head = -math.expm1(-a)
-    if b == 0.0:
-        return head
+    if rho == 0.0:
+        return -math.expm1(-0.5 * big_l)
+    alpha = 0.5 * k
+    beta = 2.0 * rho * k / (1.0 + rho) ** 2
     u_k = -math.log(k)
-    u_b = min(-0.5 * math.log(b), u_k)
+    u_b = min(-0.5 * (math.log(big_l) + math.log(beta)), u_k)
     cuts = (min(u_b, 0.0) - 20.0, u_b, u_k, u_k + 20.0)
-    edges = np.unique(np.concatenate([
+    # sorted(set()) rather than np.unique, which would load numpy.ma
+    edges = np.array(sorted(set(np.concatenate([
         np.linspace(lo, hi, max(1, math.ceil((hi - lo) / 2.0)) + 1)
         for lo, hi in zip(cuts, cuts[1:])
-    ]))
+    ]).tolist())))
     half = 0.5 * np.diff(edges)
     u = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
     t_sq = np.exp(2.0 * u)
-    # dt / (1 + t^2) = du / (2 cosh u)
-    integrand = -np.expm1(-b * t_sq / (1.0 + k * k * t_sq)) / (2.0 * np.cosh(u))
+    # b t^2 / (1 + k^2 t^2) over L, and dt / (1 + t^2) = du / (2 cosh u)
+    shape = beta * t_sq / (1.0 + k * k * t_sq)
+    integrand = shape * _expm1_ratio(big_l * shape) / (2.0 * np.cosh(u))
     body = float(integrand @ (half[:, None] * _GL_WEIGHTS).ravel())
-    tail = -math.expm1(-b / (k * k)) * math.atan(math.exp(-cuts[-1]))
-    return head + math.exp(-a) * (2.0 / math.pi) * (body + tail)
+    limit = beta / (k * k)
+    tail = limit * float(_expm1_ratio(big_l * limit)) * math.atan(math.exp(-cuts[-1]))
+    head = alpha * float(_expm1_ratio(big_l * alpha))
+    return big_l * (head + math.exp(-big_l * alpha) * (2.0 / math.pi) * (body + tail))
+
+
+def _expm1_ratio(y):
+    """-expm1(-y)/y for y >= 0, with its limit 1 at y = 0."""
+    y = np.asarray(y, dtype=float)
+    return np.where(y > 0.0, -np.expm1(-y) / np.where(y > 0.0, y, 1.0), 1.0)
 
 
 def outage_probability(fading_margin: float) -> float:
@@ -274,8 +303,23 @@ def joint_matrix(model: JointChannelModel) -> np.ndarray:
     The links fade independently, so it is the Kronecker product of the link
     matrices, S1R outermost as in the joint index.
     """
-    s1r, s2r, s1s2 = (model.link(link).matrix() for link in LinkId)
-    return np.kron(np.kron(s1r, s2r), s1s2)
+    return joint_matrices([model])[0]
+
+
+def joint_matrices(models: Sequence[JointChannelModel]) -> np.ndarray:
+    """joint_matrix of every model, stacked to shape (len(models), 8, 8).
+
+    Entry (4i + 2k + m, 4j + 2l + n) is s1r[i, j] * s2r[k, l] * s1s2[m, n],
+    multiplied in that order, as np.kron(np.kron(s1r, s2r), s1s2) does.
+    """
+    links = np.array([[model.link(link).matrix() for link in LinkId] for model in models])
+    s1r, s2r, s1s2 = links.reshape(-1, 3, 2, 2).transpose(1, 0, 2, 3)
+    prod = (
+        s1r[:, :, None, None, :, None, None]
+        * s2r[:, None, :, None, None, :, None]
+        * s1s2[:, None, None, :, None, None, :]
+    )
+    return prod.reshape(-1, 8, 8)
 
 
 def sample_link_path(

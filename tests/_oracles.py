@@ -3,7 +3,12 @@
 The Marcum Q oracles integrate the defining Rician tail directly, one with
 scipy's adaptive quadrature and one at 40 digits in mpmath, which stays
 exact where rho is so close to 1 that the link chain's p_gb is a difference
-of two Q values agreeing to 12 digits.  The stationary-law oracle is damped power iteration, and the link sampler steps
+of two Q values agreeing to 12 digits.  A second 40-digit p_gb oracle
+evaluates the channel module's cancellation-free integral with mpmath's own
+quadrature; it needs no cancellation, so it reaches outages near 1e-300,
+where the Q difference would need some 300 digits.  The stationary-law
+oracle is damped power iteration, and the chain oracle solves the
+sub-state chain at 40 digits by GTH state reduction.  The link sampler steps
 the two-state chain scalar-wise.  The protocol oracle replays the state
 machine slot by slot through the public protocol API, not through
 protocol.kernel, so it checks the kernel.  The walk oracle does read the
@@ -76,6 +81,38 @@ def marcum_q_mp(a, b, dps: int = 40) -> mpmath.mpf:
 
         cuts = [b] + [x for x in (a - 20, a, a + 20) if x > b] + [mpmath.inf]
         return mpmath.quad(density, cuts)
+
+
+def good_to_bad_mp(p_out: float, rho: float, dps: int = 40) -> mpmath.mpf:
+    """p_gb = -expm1(-a) + exp(-a) (2/pi) I at `dps` digits, from the float
+    inputs, with I = integral_0^inf -expm1(-b t^2/(1 + k^2 t^2)) dt/(1 + t^2)
+    and L, k, a, b as in twarq.channel.
+
+    I is integrated over I/b, so that mpmath's absolute error target stays
+    relative however small b is.  Past t = 1/k the substitution v = 1/t
+    gives the finite integral of -expm1(-b/(v^2 + k^2)) dv/(1 + v^2) over
+    [0, k].  Before it the range is cut at every power of ten and at
+    1/sqrt(b), where the integrand turns.
+    """
+    with mpmath.workdps(dps):
+        p, r = mpmath.mpf(p_out), mpmath.mpf(rho)
+        big_l = -2 * mpmath.log1p(-p)
+        k = (1 - r) / (1 + r)
+        a = big_l * k / 2
+        b = 2 * r * big_l * k / (1 + r) ** 2
+        if b == 0:
+            return -mpmath.expm1(-a)
+
+        def near(t):
+            return -mpmath.expm1(-b * t * t / (1 + k * k * t * t)) / (b * (1 + t * t))
+
+        def far(v):
+            return -mpmath.expm1(-b / (v * v + k * k)) / (b * (1 + v * v))
+
+        decades = {mpmath.mpf(10) ** j for j in range(int(mpmath.log10(1 / k)) + 1)}
+        cuts = sorted({mpmath.mpf(0), 1 / k, min(1 / mpmath.sqrt(b), 1 / k)} | decades)
+        body = mpmath.quad(near, cuts) + mpmath.quad(far, [0, k])
+        return -mpmath.expm1(-a) + mpmath.exp(-a) * 2 / mpmath.pi * b * body
 
 
 def stationary_power_iteration(mat: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -169,3 +206,67 @@ def walk_reference(
             completions.append(k)
         state = nxt[state][c]
     return np.array(completions, dtype=np.int64)
+
+
+def chain_throughput_mp(strategy: Strategy, model, convention: XorConvention,
+                        dps: int = 40) -> mpmath.mpf:
+    """eta of the sub-state chain at `dps` digits, by GTH state reduction.
+
+    The link matrices take the float p_gb and p_bg as given and form the
+    staying probabilities 1 - p at `dps` digits.  The chain is the kernel
+    scatter P[8n + i, 8 nxt[n, i] + j] = p_c(i, j) on the states reached
+    from sub-state 0, which must form one closed class (every p_c entry
+    positive does that).  Those states are eliminated one at a time,
+    highest index first, each one's row mass spread over its predecessors
+    in proportion, with the diagonal never formed (Grassmann, Taksar and
+    Heyman, Operations Research 33(5), 1985); the stationary law then
+    follows by back-substitution, and eta is twice its T0 mass.
+    """
+    nxt = kernel(strategy, convention)[0].tolist()
+    with mpmath.workdps(dps):
+        links = []
+        for ge in (model.s1r, model.s2r, model.s1s2):
+            p_gb, p_bg = mpmath.mpf(ge.p_gb), mpmath.mpf(ge.p_bg)
+            links.append(((1 - p_bg, p_bg), (p_gb, 1 - p_gb)))
+
+        def p_c(i: int, j: int):
+            out = mpmath.mpf(1)
+            for shift, link in zip((2, 1, 0), links):
+                out *= link[(i >> shift) & 1][(j >> shift) & 1]
+            return out
+
+        rows: dict[int, dict[int, mpmath.mpf]] = {}
+        todo = [0]
+        while todo:
+            m = todo.pop()
+            if m in rows:
+                continue
+            node, i = divmod(m, 8)
+            rows[m] = {8 * nxt[node][i] + j: p_c(i, j) for j in range(8)}
+            rows[m] = {n: p for n, p in rows[m].items() if p != 0}
+            todo += [n for n in rows[m] if n not in rows]
+        preds: dict[int, set[int]] = {m: set() for m in rows}
+        for m, row in rows.items():
+            for n in row:
+                preds[n].add(m)
+
+        order = sorted(rows, reverse=True)[:-1]  # state 0 stays
+        removed = []
+        for e in order:
+            row = rows.pop(e)
+            row.pop(e, None)
+            out = mpmath.fsum(row.values())
+            col = {i: rows[i].pop(e) for i in preds.pop(e) - {e}}
+            for i, p_ie in col.items():
+                for j, p in row.items():
+                    rows[i][j] = rows[i].get(j, 0) + p_ie * p / out
+                    preds[j].add(i)
+            for j in row:
+                preds[j].discard(e)
+            removed.append((e, col, out))
+
+        pi = {0: mpmath.mpf(1)}
+        for e, col, out in reversed(removed):
+            pi[e] = mpmath.fsum(pi[i] * p for i, p in col.items()) / out
+        total = mpmath.fsum(pi.values())
+        return 2 * mpmath.fsum(p for m, p in pi.items() if m < 8) / total

@@ -3,7 +3,10 @@ import pytest
 
 from twarq.analysis import (
     SubState,
+    _components,
+    _plan,
     aggregate_coarse,
+    analytic_many,
     analytic_throughput,
     enumerate_substates,
     steady_state,
@@ -19,9 +22,10 @@ from twarq.channel import (
     joint_matrix,
     outage_probability,
 )
-from twarq.protocol import Strategy, XorConvention
+from twarq.exceptions import NumericalError
+from twarq.protocol import CsiMode, Strategy, XorConvention, kernel
 
-from _oracles import stationary_power_iteration
+from _oracles import chain_throughput_mp, stationary_power_iteration
 
 COOPERATIVE = [s for s in Strategy if s.cooperative]
 
@@ -302,3 +306,108 @@ def test_pinned_analytic_values(strat, same_index, physical):
     for convention, eta in ((XorConvention.SAME_INDEX, same_index),
                             (XorConvention.PHYSICAL, physical)):
         assert abs(analytic_throughput(strat, model, convention) - eta) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Renewal route (analytic_many)
+# ---------------------------------------------------------------------------
+
+C1_RHO, C1_PSS, C1_RATIO_DB = (0.0, 0.9, 0.999), (0.1, 0.3, 0.5, 0.7, 0.9), (0.0, 10.0)
+CONVENTIONS = list(XorConvention)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.value)
+@pytest.mark.parametrize("strat", COOPERATIVE, ids=lambda s: s.value)
+def test_renewal_matches_dense_route_on_c1_grid(strat, convention):
+    space = enumerate_substates(strat)
+    models = [model_for(pss, ratio, rho)
+              for rho in C1_RHO for ratio in C1_RATIO_DB for pss in C1_PSS]
+    for model, eta in zip(models, analytic_many(strat, models, convention)):
+        dense = throughput(space, steady_state(transition_matrix(space, model, convention)))
+        assert abs(eta - dense) <= 1e-11
+
+
+def test_batched_values_equal_one_point_calls():
+    """Degenerate supports split a batch into plans; every value is still
+    bit for bit what a call with that point alone gives."""
+    models = [model_for(pss, 10.0, rho) for rho in (0.0, 0.99, 0.9999999)
+              for pss in (0.1, 0.5, 0.9)]
+    models[4:4] = [
+        JointChannelModel.from_outage(0.0, 0.0, 0.0, 0.0),
+        JointChannelModel.from_outage(1.0, 1.0, 0.4, 0.5),
+        JointChannelModel.from_outage(1.0, 0.3, 1.0, 0.5),
+        JointChannelModel.from_outage(0.3, 1.0, 0.4, 0.5),
+    ]
+    for strat in COOPERATIVE:
+        for convention in CONVENTIONS:
+            many = analytic_many(strat, models, convention)
+            one = [analytic_many(strat, [m], convention)[0] for m in models]
+            assert np.array_equal(many, one), (strat, convention)
+            assert many[4] == 1.0
+
+
+def test_renewal_keeps_the_row_sum_gate(monkeypatch):
+    import twarq.analysis as analysis
+
+    exact = analysis.joint_matrices
+    monkeypatch.setattr(analysis, "joint_matrices", lambda models: exact(models) * (1 + 1e-9))
+    with pytest.raises(NumericalError, match="off stochastic"):
+        analytic_many(Strategy.RR_NC, [model_for(0.4, 10.0, 0.9)])
+
+
+# The analytic benchmark workload's quasi-static points: pss sweeps at
+# rho = 1 - 1e-7 and 1 - 1e-8, fixed outages at 1 - 1e-9; relays +10 dB.
+NEAR_ONE = (
+    [(rho, pss) for rho in (0.9999999, 0.99999999) for pss in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    + [(0.999999999, pss) for pss in (0.3, 0.5, 0.7, 0.9)]
+)
+
+
+@pytest.mark.parametrize("strat", COOPERATIVE, ids=lambda s: s.value)
+def test_renewal_matches_40_digit_chain_near_rho_one(strat):
+    for rho, pss in NEAR_ONE:
+        model = model_for(pss, 10.0, rho)
+        exact = chain_throughput_mp(strat, model, XorConvention.SAME_INDEX)
+        eta = analytic_throughput(strat, model)
+        assert abs(eta - exact) <= 2e-12 * exact, (rho, pss)
+
+
+def test_chain_oracle_matches_dense_solve_away_from_rho_one():
+    for strat in (Strategy.RR_NC, Strategy.AR, Strategy.CR):
+        for convention in CONVENTIONS:
+            model = model_for(0.4, 10.0, 0.9)
+            space = enumerate_substates(strat)
+            dense = throughput(space, steady_state(transition_matrix(space, model, convention)))
+            exact = float(chain_throughput_mp(strat, model, convention))
+            assert abs(dense - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("view,bound", [(CsiMode.PREV_SLOT, 2), (CsiMode.LAST_KNOWN, 4)])
+def test_round_components_are_small(view, bound):
+    """ARQ bits only latch from 0 to 1, so with round starts cut out the
+    kernel's graph has only tiny cycles: the token flips of one row."""
+    for strat in COOPERATIVE:
+        for convention in CONVENTIONS:
+            nxt, _ = kernel(strat, convention, view)
+            starts = 1 if view is CsiMode.PREV_SLOT else 8
+            step = np.zeros((nxt.shape[0],) * 2, dtype=bool)
+            step[np.repeat(np.arange(nxt.shape[0]), 8), nxt.ravel()] = True
+            step[:, :starts] = False
+            comps = _components(step)
+            assert sorted(np.concatenate(comps).tolist()) == list(range(nxt.shape[0]))
+            assert max(c.size for c in comps) <= bound
+            # topological: no edge runs from a later component to an earlier one
+            rank = np.empty(nxt.shape[0], dtype=int)
+            for k, c in enumerate(comps):
+                rank[c] = k
+            src, dst = np.nonzero(step)
+            assert np.all(rank[src] <= rank[dst])
+
+
+def test_plan_blocks_hold_at_most_16_sub_states():
+    full = np.ones((8, 8), dtype=bool).tobytes()
+    for strat in COOPERATIVE:
+        for convention in CONVENTIONS:
+            plan = _plan(strat, convention, full)
+            assert plan.starts.tolist() == list(range(8))
+            assert max(block.sub.size for block in plan.blocks) <= 16

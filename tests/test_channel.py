@@ -22,7 +22,7 @@ from twarq.channel import (
 )
 from twarq.simulate import _channel_path
 
-from _oracles import link_path_scalar, marcum_q_mp, marcum_q_quad
+from _oracles import good_to_bad_mp, link_path_scalar, marcum_q_mp, marcum_q_quad
 
 GRID_01 = np.linspace(0.05, 0.95, 19)
 
@@ -164,6 +164,64 @@ def test_ge_matches_mp_oracle_near_one(p_out, rho):
     assert ge_transitions(p_out, rho).p_gb == pytest.approx(float(oracle), rel=1e-12)
 
 
+@pytest.mark.parametrize("p_out,rho", [(0.3, 0.5), (0.7, 0.999999999), (0.5, 0.999999999999)])
+def test_integral_oracle_matches_marcum_oracle(p_out, rho):
+    with mpmath.workdps(40):
+        p, r = mpmath.mpf(p_out), mpmath.mpf(rho)
+        theta = mpmath.sqrt(-2 * mpmath.log1p(-p) / ((1 - r) * (1 + r)))
+        # the Q difference cancels about as many of its 40 digits as 1 - rho has zeros
+        marcum = marcum_q_mp(theta, r * theta) - marcum_q_mp(r * theta, theta)
+        assert abs(good_to_bad_mp(p_out, rho) - marcum) <= 1e-24 * marcum
+
+
+@pytest.mark.parametrize("rho", [1 - 1e-9, 1 - 1e-12, 1 - 1.1e-16])
+def test_ge_tiny_outage_near_one(rho):
+    """At P = 1e-300, a = L k/2 and b would be subnormal near rho = 1; with
+    L factored out of both, p_gb keeps its digits."""
+    exact = float(good_to_bad_mp(1e-300, rho))
+    assert abs(ge_transitions(1e-300, rho).p_gb - exact) <= 1e-12 * exact
+
+
+def _outage_where_b_is(target: float, rho: float) -> float:
+    """The outage P at which the integral's b = 2 rho L k/(1+rho)^2 is target."""
+    k = (1.0 - rho) / (1.0 + rho)
+    big_l = target * (1.0 + rho) ** 2 / (2.0 * rho * k)
+    return -math.expm1(-0.5 * big_l)
+
+
+@pytest.mark.parametrize("boundary,rho", [
+    ("b = 1", 0.1), ("b = 1", 0.3), ("b = 1", 0.5),
+    ("b = k^2", 0.1), ("b = k^2", 0.5), ("b = k^2", 0.9), ("b = k^2", 0.999),
+])
+def test_ge_continuous_where_panel_layout_changes(boundary, rho):
+    """The panels are cut at t = 1/sqrt(b), which turns at t = 1 (b = 1) and
+    is clipped at t = 1/k (b = k^2).  Stepping P one ulp at a time across
+    each switch, p_gb never jumps by more than 1e-14 relative."""
+    k = (1.0 - rho) / (1.0 + rho)
+    target = 1.0 if boundary == "b = 1" else k * k
+    p_mid = _outage_where_b_is(target, rho)
+    outages = [p_mid]
+    for direction in (0.0, 1.0):
+        p = p_mid
+        for _ in range(16):
+            p = float(np.nextafter(p, direction))
+            outages.append(p)
+    outages.sort()
+    b_ends = [2 * rho * -2 * math.log1p(-p) * k / (1 + rho) ** 2 for p in outages[::len(outages) - 1]]
+    assert b_ends[0] < target < b_ends[1]
+    values = [ge_transitions(p, rho).p_gb for p in outages]
+    jumps = [abs(b - a) / a for a, b in zip(values, values[1:])]
+    assert max(jumps) <= 1e-14
+
+
+def test_gauss_legendre_table_is_numpys_rule():
+    from twarq import channel
+
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(channel._GL_NODES, nodes)
+    assert np.array_equal(channel._GL_WEIGHTS, weights)
+
+
 @given(
     st.floats(min_value=1e-4, max_value=1 - 1e-4),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
@@ -176,8 +234,7 @@ def test_ge_balance_property(p_out, rho):
 
 
 @given(
-    # far below 1e-12, a and b of the integral underflow to subnormals near
-    # rho = 1 and keep only a few digits
+    # P from 1e-12 up; test_ge_tiny_outage_near_one covers P = 1e-300
     st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),

@@ -1,10 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.special import j0
 
-from twarq.cli import CSV_HEADER, main
+from twarq.cli import CSV_HEADER, _j0, main
 
 HEADER = "strategy,rho,fs_db,fr_db,pss,psr,eta_analytic,eta_sim,sim_stderr,n_slots,seed"
 
@@ -129,6 +134,33 @@ def test_fm_tp_converter(capsys):
     assert code == 0
     (row,) = rows_of(out)
     assert float(row["rho"]) == pytest.approx(float(j0(2.0 * math.pi * 0.1)), abs=1e-10)
+
+
+def test_j0_matches_scipy():
+    xs = np.concatenate([np.linspace(0.0, 200.0, 4001)[:-1], 2.0 * math.pi * np.array(
+        [1e-3, 0.01, 0.05, 0.1, 0.3, 1.0])])
+    assert max(abs(_j0(float(x)) - j0(x)) for x in xs) <= 4e-15
+
+
+def test_runs_without_scipy():
+    """The runtime needs numpy only: with scipy made unimportable, the
+    converter and both engines still run."""
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from twarq.cli import main\n"
+        "assert main(['analytic', '--strategy', 'cr-nc', '--pss', '0.3', '--fm-tp', '0.1']) == 0\n"
+        "assert main(['simulate', '--strategy', 'rr-nc', '--pss', '0.3', '--rho', '0.9',\n"
+        "             '--n-slots', '5000', '--engines', 'both']) == 0\n"
+        "assert not any(name.startswith('scipy.') for name in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.strip().splitlines()
+    assert rows[0] == HEADER and rows[2] == HEADER and len(rows) == 4
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
