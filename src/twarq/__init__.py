@@ -7,7 +7,6 @@ plus a CLI for parameter sweeps.
 
 from .analysis import (
     SteadyState,
-    SubState,
     SubStateSpace,
     aggregate_coarse,
     analytic_many,
@@ -70,7 +69,6 @@ __all__ = [
     "SlotOutcome",
     "SteadyState",
     "Strategy",
-    "SubState",
     "SubStateSpace",
     "XorConvention",
     "advance_token",

@@ -25,12 +25,12 @@ packets delivered per round, one round per T0 visit.  It is the long-run
 T0 share of a run started at sub-state 0, solved on the recurrent class
 that run settles in (see steady_state).
 
-The sub-states are the kernel's previous-slot states times the channel
-during the slot, m = node*8 + i.  The token t is the AR alternation bit on
-every row, or on the C rows of CR the choice cached from the channel the
-previous slot saw; RR keeps none.  That yields 8+32+96 = 136 sub-states for
-RR and RR-NC, 8+32+192 = 232 for AR and AR-NC, 176 for CR-NC and 184 for
-CR.
+The sub-states are the previous-slot nodes of protocol.kernel_nodes times
+the channel during the slot, m = node*8 + i.  The token t is the AR
+alternation bit on every row, or on the C rows of CR the choice cached from
+the channel the previous slot saw; RR keeps none.  That yields 8+32+96 = 136
+sub-states for RR and RR-NC, 8+32+192 = 232 for AR and AR-NC, 176 for
+CR-NC and 184 for CR.
 
 analytic_many does not solve pi P = pi on the whole chain.  It cuts every
 run at its round starts, the T0 visits, where the ARQ bits are all zero
@@ -47,8 +47,9 @@ theorem gives the T0 share of slots as 1 / (nu L), so eta = 2 / (nu L).
 ARQ bits only latch from 0 to 1, so once T0 is cut out, the only cycles of
 the kernel's node graph are self-loops and the token flips of one row.  Its
 strongly connected components hold at most 2 nodes (16 sub-states) for
-every strategy and xor convention, and at most 4 kernel states under the
-last-known view.  In their topological order I - Q is block
+every strategy and xor convention.  Under the last-known view, whose kernel
+states are nodes times views, they hold at most 2 states for CR and CR-NC
+and 4 for AR's token flips.  In their topological order I - Q is block
 lower-triangular, and v is found by forward substitution, for all points
 of a call at once.  A component's block of I - Q depends only on its
 channels and inner steps, so the 16-17 components of a strategy share 5-6
@@ -82,7 +83,6 @@ from .protocol import Strategy, XorConvention, kernel, kernel_nodes
 
 __all__ = [
     "SteadyState",
-    "SubState",
     "SubStateSpace",
     "aggregate_coarse",
     "analytic_many",
@@ -95,24 +95,16 @@ __all__ = [
 ]
 
 N_CHAN = 8
+# Largest sup-norm residual of pi P = pi either solve accepts.
+_RESIDUAL_TOL = 1e-10
 # Points solved together.  Each holds two float64 arrays of 8 starts by
 # 232 sub-states at most (30 KB), so a batch stays under 8 MB.
 _BATCH = 256
 
 
-@dataclass(frozen=True)
-class SubState:
-    """One expanded chain state; unused indices stay None."""
-
-    kind: str  # "T0" | "T1" | "R"
-    chan: int
-    a: int | None = None
-    b: int | None = None
-    token: int | None = None
-
-
 class SubStateSpace:
-    """Ordered sub-state list for one strategy, with both index directions."""
+    """Sizes of one strategy's sub-state blocks, m = node*8 + chan over the
+    nodes of protocol.kernel_nodes: T0, then T1, then R."""
 
     def __init__(self, strategy: Strategy):
         if not strategy.cooperative:
@@ -121,20 +113,12 @@ class SubStateSpace:
                 "no sub-state chain is defined for it"
             )
         self.strategy = strategy
-        nodes = kernel_nodes(strategy)
-        self.tokened_rows = frozenset(node.b for node in nodes if node.token is not None)
-        self.states = tuple(
-            SubState(node.kind, i, node.a, node.b, node.token)
-            for node in nodes
-            for i in range(N_CHAN)
-        )
-        self.index = {s: m for m, s in enumerate(self.states)}
         self.n_t0 = N_CHAN
         self.n_t1 = 4 * N_CHAN
-        self.n_r = len(self.states) - self.n_t0 - self.n_t1
+        self.n_r = N_CHAN * len(kernel_nodes(strategy)) - self.n_t0 - self.n_t1
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.n_t0 + self.n_t1 + self.n_r
 
     @property
     def t0_slice(self) -> slice:
@@ -146,7 +130,7 @@ class SubStateSpace:
 
     @property
     def r_slice(self) -> slice:
-        return slice(self.n_t0 + self.n_t1, len(self.states))
+        return slice(self.n_t0 + self.n_t1, len(self))
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +208,7 @@ def _closed_class(mat: np.ndarray) -> np.ndarray:
         x = int(stuck.argmax())
 
 
-def steady_state(mat: np.ndarray, residual_tol: float = 1e-10) -> SteadyState:
+def steady_state(mat: np.ndarray) -> SteadyState:
     """Long-run state occupancy of the chain started at state 0.
 
     pi = pi P with sum(pi) = 1 is one LU solve on the recurrent class that
@@ -233,7 +217,7 @@ def steady_state(mat: np.ndarray, residual_tol: float = 1e-10) -> SteadyState:
     that class the system is nonsingular even when degenerate links leave
     other closed classes (packets held behind a pinned-Bad relay) or make
     T0 transient (rounds that stall forever).  Raises NumericalError on
-    negative mass or a residual above residual_tol.
+    negative mass or a residual above 1e-10.
     """
     n = mat.shape[0]
     if mat.shape != (n, n):
@@ -254,9 +238,9 @@ def steady_state(mat: np.ndarray, residual_tol: float = 1e-10) -> SteadyState:
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     res = float(np.abs(pi @ mat - pi).max())
-    if res > residual_tol or abs(pi.sum() - 1.0) > 1e-12:
+    if res > _RESIDUAL_TOL or abs(pi.sum() - 1.0) > 1e-12:
         raise NumericalError(
-            f"steady-state residual {res} above {residual_tol} on a "
+            f"steady-state residual {res} above {_RESIDUAL_TOL} on a "
             f"{cls.size}-state recurrent class"
         )
     return SteadyState(pi=pi, residual=res)
@@ -471,6 +455,7 @@ def _renewal(plan: _Plan, p_c: np.ndarray) -> np.ndarray:
     # pi P through the kernel: mass entering node n under channel i, times p_c
     entering = (by_node.transpose(2, 0, 1) @ plan.hops).transpose(1, 2, 0)
     res = np.abs(entering @ p_c - by_node).max(axis=(1, 2))
-    if res.max() > 1e-10:
-        raise NumericalError(f"steady-state residual {res.max()} above 1e-10 on the renewal solve")
+    if res.max() > _RESIDUAL_TOL:
+        raise NumericalError(
+            f"steady-state residual {res.max()} above {_RESIDUAL_TOL} on the renewal solve")
     return 2.0 / cycle

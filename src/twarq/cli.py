@@ -38,7 +38,6 @@ CSV_HEADER = "strategy,rho,fs_db,fr_db,pss,psr,eta_analytic,eta_sim,sim_stderr,n
 
 _AXES = ("pss", "fs-db", "rho", "fr-over-fs-db")
 _FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig9csi")
-_CR_FAMILY = (Strategy.CR, Strategy.CR_NC)
 
 _STRATEGY_BY_FLAG = {s.value: s for s in Strategy}
 _CSI_BY_FLAG = {m.value: m for m in CsiMode}
@@ -67,10 +66,7 @@ class SweepSpec:
     engines: str
     rho_values: list[float]
     ratio_values: list[float]
-    pss: float | None
-    fs_db: float | None
-    axis: str | None
-    axis_values: list[float]
+    direct_values: list[tuple[float, float]]  # (pss, fs_db) of the direct link
     csi_modes: list[CsiMode]
     n_slots: int
     seed: int
@@ -79,14 +75,14 @@ class SweepSpec:
     def points(self) -> list[SweepPoint]:
         out = []
         for strategy in self.strategies:
-            modes = self.csi_modes if strategy in _CR_FAMILY else [CsiMode.PREV_SLOT]
+            modes = self.csi_modes if strategy.reads_csi else [CsiMode.PREV_SLOT]
             for mode in modes:
                 label = strategy.value
-                if strategy in _CR_FAMILY and len(self.csi_modes) > 1:
+                if strategy.reads_csi and len(self.csi_modes) > 1:
                     label = f"{strategy.value}:{mode.value}"
-                for rho in self._axis_or(self.rho_values, "rho"):
-                    for ratio in self._axis_or(self.ratio_values, "fr-over-fs-db"):
-                        for pss, fs_db in self._direct_values():
+                for rho in self.rho_values:
+                    for ratio in self.ratio_values:
+                        for pss, fs_db in self.direct_values:
                             fs = db_to_linear(fs_db)
                             fr_db = fs_db + ratio
                             psr = outage_probability(fs * db_to_linear(ratio))
@@ -103,18 +99,6 @@ class SweepSpec:
                                 )
                             )
         return out
-
-    def _axis_or(self, fixed: list[float], axis_name: str) -> list[float]:
-        return self.axis_values if self.axis == axis_name else fixed
-
-    def _direct_values(self) -> list[tuple[float, float]]:
-        if self.axis == "pss":
-            return [(p, linear_to_db(fading_margin_from_outage(p))) for p in self.axis_values]
-        if self.axis == "fs-db":
-            return [(outage_probability(db_to_linear(f)), f) for f in self.axis_values]
-        if self.pss is not None:
-            return [(self.pss, linear_to_db(fading_margin_from_outage(self.pss)))]
-        return [(outage_probability(db_to_linear(self.fs_db)), self.fs_db)]
 
 
 def _j0(x: float) -> float:
@@ -141,9 +125,9 @@ def execute(spec: SweepSpec) -> list[str]:
     call over all points, so rows at one channel point share its path."""
     points = spec.points()
     models = [JointChannelModel.symmetric(p.pss, p.psr, p.rho) for p in points]
-    etas = sims = [None] * len(points)
+    etas: list = [None] * len(points)
+    sims: list = [None] * len(points)
     if spec.engines in ("analytic", "both"):
-        etas = [None] * len(points)
         for strategy in spec.strategies:
             rows = [k for k, p in enumerate(points) if p.strategy is strategy]
             if strategy is Strategy.SW_ARQ:
@@ -278,9 +262,9 @@ def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
         fail("--pss and --fs-db are mutually exclusive")
     if pss is not None and not 0.0 < pss < 1.0:
         fail(f"--pss must be in (0, 1), got {pss}")
+    direct_axis, direct = ("pss", [pss]) if pss is not None else ("fs-db", [fs_db])
 
     axis = None
-    axis_values: list[float] = []
     sweep = values.get("sweep")
     if sweep is not None:
         parts = sweep.split(":")
@@ -296,8 +280,8 @@ def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
             fail(f"--sweep: start/stop/step must be numbers, got {sweep!r}")
         if step <= 0 or stop < start:
             fail("--sweep needs step > 0 and stop >= start")
-        axis_values = _sweep_values(start, stop, step)
-        lo, hi = axis_values[0], axis_values[-1]
+        swept = _sweep_values(start, stop, step)
+        lo, hi = swept[0], swept[-1]
         if axis == "pss" and not (0.0 < lo and hi < 1.0):
             fail("--sweep: pss values must stay inside (0, 1)")
         if axis == "rho" and not (0.0 <= lo and hi < 1.0):
@@ -308,6 +292,12 @@ def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
             fail("--sweep over rho conflicts with --rho")
         if axis == "fr-over-fs-db" and values.get("fr-over-fs-db") is not None:
             fail("--sweep over fr-over-fs-db conflicts with --fr-over-fs-db")
+        if axis == "rho":
+            rho_values = swept
+        elif axis == "fr-over-fs-db":
+            ratio_values = swept
+        else:
+            direct_axis, direct = axis, swept
 
     if axis not in ("pss", "fs-db") and pss is None and fs_db is None:
         fail("one of --pss or --fs-db is required (or sweep that axis)")
@@ -330,15 +320,17 @@ def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
     if convention_name not in _CONVENTION_BY_FLAG:
         fail(f"--xor-convention must be table2 or physical, got {convention_name!r}")
 
+    if direct_axis == "pss":
+        direct_values = [(p, linear_to_db(fading_margin_from_outage(p))) for p in direct]
+    else:
+        direct_values = [(outage_probability(db_to_linear(f)), f) for f in direct]
+
     return SweepSpec(
         strategies=strategies,
         engines=engines,
         rho_values=rho_values,
         ratio_values=ratio_values,
-        pss=pss,
-        fs_db=fs_db,
-        axis=axis,
-        axis_values=axis_values,
+        direct_values=direct_values,
         csi_modes=csi_modes,
         n_slots=n_slots,
         seed=seed,

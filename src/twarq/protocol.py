@@ -43,12 +43,13 @@ view) -> (nxt, done), built once by executing the rules above on every
     R(b[, t])      b = 0..11; a token t = 0, 1 after each tokened row
 
 times the last-known feedback view (node*8 + view) under CsiMode.LAST_KNOWN.
-The token is the AR alternation bit on every row, or, on the C rows of CR,
-the choice (1 = source) cached from the view the previous slot left; RR, the
-stop-and-wait baseline and CR under the genie view keep none.  On a C row
-the token names the transmitter: 0 the relay, 1 the packet's source.
-nxt[s, c] is the state after a slot in state s under joint channel c, and
-done[s, c] marks a completed round.
+The token is the AR alternation bit on every row, or, on the C rows of CR
+under the previous-slot view, the choice (1 = source) cached from the channel
+the previous slot saw.  RR, the stop-and-wait baseline and CR under the other
+two views keep none: the stored last-known view, or the genie's current
+channel, fixes the CR choice.  On a C row the token names the transmitter:
+0 the relay, 1 the packet's source.  nxt[s, c] is the state after a slot in
+state s under joint channel c, and done[s, c] marks a completed round.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ class Strategy(enum.Enum):
     @property
     def cooperative(self) -> bool:
         return self is not Strategy.SW_ARQ
+
+    @property
+    def reads_csi(self) -> bool:
+        """Whether the C-row choice reads the feedback channel view (CR)."""
+        return self in (Strategy.CR, Strategy.CR_NC)
 
 
 class NodeId(enum.Enum):
@@ -308,7 +314,7 @@ def resolve_c(
         return NodeId.R
     if strategy in (Strategy.AR, Strategy.AR_NC):
         return NodeId.R if ctx.token == 0 else _SOURCE_OF[packet]
-    if strategy in (Strategy.CR, Strategy.CR_NC):
+    if strategy.reads_csi:
         direct_good = ctx.csi(LinkId.S1S2) == GOOD
         relay_bad = ctx.csi(_DEST_RELAY_LINK[packet]) != GOOD
         return _SOURCE_OF[packet] if direct_good and relay_bad else NodeId.R
@@ -403,7 +409,7 @@ def advance_token(
         ):
             ctx.token ^= 1
         return ctx
-    if strategy in (Strategy.CR, Strategy.CR_NC):
+    if strategy.reads_csi:
         ctx.token = 0
         if next_state is not None and not next_state.complete:
             b = next_state.b_index
@@ -415,26 +421,20 @@ def advance_token(
 
 
 class Node(NamedTuple):
-    """A kernel node: phase kind ("T0", "T1", "R"), the ARQ bits the slot
-    starts from (a for T1, b for R) and the token (None if untokened)."""
+    """A kernel node: the phase of the slot, the ARQ bits it starts from (a
+    for TRANSMISSION_2, b for RETRANSMISSION) and the token (None if
+    untokened)."""
 
-    kind: str
+    kind: Phase
     a: int | None = None
     b: int | None = None
     token: int | None = None
 
 
-_PHASE_OF = {
-    "T0": Phase.TRANSMISSION_1,
-    "T1": Phase.TRANSMISSION_2,
-    "R": Phase.RETRANSMISSION,
-}
-
-
 def _tokened_rows(strategy: Strategy, view: CsiMode) -> tuple[int, ...]:
     if strategy in (Strategy.AR, Strategy.AR_NC):
         return tuple(range(12))
-    if strategy in (Strategy.CR, Strategy.CR_NC) and view is not CsiMode.GENIE:
+    if strategy.reads_csi and view is CsiMode.PREV_SLOT:
         return c_rows(strategy)
     return ()
 
@@ -444,9 +444,10 @@ def kernel_nodes(
 ) -> tuple[Node, ...]:
     """The kernel's nodes in state order: T0, T1(a), then R(b[, t])."""
     tokened = _tokened_rows(strategy, view)
-    nodes = [Node("T0")] + [Node("T1", a=a) for a in range(4)]
+    nodes = [Node(Phase.TRANSMISSION_1)] + [Node(Phase.TRANSMISSION_2, a=a) for a in range(4)]
     for b in range(12):
-        nodes += [Node("R", b=b, token=t) for t in ((0, 1) if b in tokened else (None,))]
+        nodes += [Node(Phase.RETRANSMISSION, b=b, token=t)
+                  for t in ((0, 1) if b in tokened else (None,))]
     return tuple(nodes)
 
 
@@ -460,9 +461,9 @@ def kernel(
     channel); see the module docstring for the state order.
 
     The next node's token is the AR alternation bit advanced past the slot,
-    or the CR choice for its row made from the view the slot leaves: its
-    channel (PREV_SLOT) or the last-known view updated by its feedback.
-    Under GENIE the CR choice is made from the current channel instead.
+    or, under PREV_SLOT, the CR choice for its row made from the slot's
+    channel.  Without a token, CR chooses from the view the state stores
+    (LAST_KNOWN) or from the current channel (GENIE).
     """
     nodes = kernel_nodes(strategy, view)
     index = {node: k for k, node in enumerate(nodes)}
@@ -471,7 +472,7 @@ def kernel(
     nxt = np.empty((len(nodes) * len(views), 8), dtype=np.intp)
     done = np.zeros(nxt.shape, dtype=bool)
     for k, node in enumerate(nodes):
-        if node.kind == "R":
+        if node.kind is Phase.RETRANSMISSION:
             state = ArqState.from_b_index(node.b)
         else:
             a = node.a or 0
@@ -479,35 +480,32 @@ def kernel(
         for v, known in enumerate(views):
             s = k * len(views) + v
             for chan in range(8):
-                ctx = PolicyContext(phase=_PHASE_OF[node.kind], token=node.token or 0)
-                ctx.set_csi_from_index(chan)  # read by the genie view only
-                if node.kind == "R" and node.token is not None and row_designates_c(
-                    strategy, node.b
-                ):
+                ctx = PolicyContext(phase=node.kind, token=node.token or 0)
+                ctx.set_csi_from_index(chan if known is None else known)
+                if node.token is not None and row_designates_c(strategy, node.b):
                     payload = row_payload(strategy, node.b)
                     sender = _SOURCE_OF[payload] if node.token else NodeId.R
                     action = Action(sender, payload)
                 else:
                     action = policy_action(strategy, state, ctx)
                 out = apply_slot(state, action, chan, convention)
-                seen = chan
+                if out.state.complete:
+                    done[s, chan] = True
+                    target = Node(Phase.TRANSMISSION_1)
+                elif node.kind is Phase.TRANSMISSION_1:
+                    target = Node(Phase.TRANSMISSION_2, a=(out.state.ps1 << 1) | out.state.rs1)
+                else:
+                    b, token = out.state.b_index, None
+                    if b in tokened:  # CR tokens only under PREV_SLOT: ctx holds chan
+                        executed = state if node.kind is Phase.RETRANSMISSION else None
+                        token = advance_token(strategy, ctx, executed, out.state).token
+                    target = Node(Phase.RETRANSMISSION, b=b, token=token)
+                seen = 0
                 if known is not None:
                     seen = known
                     for link, bit in out.observed:
                         seen = with_link_bit(seen, link, bit)
-                if out.state.complete:
-                    done[s, chan] = True
-                    target = Node("T0")
-                elif node.kind == "T0":
-                    target = Node("T1", a=(out.state.ps1 << 1) | out.state.rs1)
-                else:
-                    b, token = out.state.b_index, None
-                    if b in tokened:
-                        ctx.set_csi_from_index(seen)
-                        executed = state if node.kind == "R" else None
-                        token = advance_token(strategy, ctx, executed, out.state).token
-                    target = Node("R", b=b, token=token)
-                nxt[s, chan] = index[target] * len(views) + (0 if known is None else seen)
+                nxt[s, chan] = index[target] * len(views) + seen
     nxt.setflags(write=False)
     done.setflags(write=False)
     return nxt, done

@@ -33,8 +33,6 @@ from .protocol import CsiMode, Strategy, XorConvention, kernel
 
 __all__ = ["CsiMode", "SimConfig", "SimStats", "run", "run_csi_comparison", "run_many"]
 
-_CR_FAMILY = (Strategy.CR, Strategy.CR_NC)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -79,6 +77,8 @@ _LOOKBACK = 256
 # Slots converted to Python lists at a time while the stitch walks a chunk
 # again; most chunks meet their guessed trajectory within a few rounds.
 _STITCH_WINDOW = 64
+# Round-aligned batches of the regenerative standard error.
+_N_BATCHES = 100
 
 
 @lru_cache(maxsize=None)
@@ -89,9 +89,11 @@ def _fsm(
 
     Returns (nxt, done, start): nxt[s*8 + c] is 8*s' for the next state s',
     pre-scaled so that one add forms the next index; done[s*8 + c] marks a
-    completed round; start[c] is 8*s for node T0 whose view is channel c
-    (under LAST_KNOWN; the other views keep none in the state).  A run
-    starts at start[7]: links never observed count as Good.
+    completed round; start[c] is 8*s for node T0 whose view is channel c.
+    Only LAST_KNOWN keeps a view in the state, and that view alone fixes the
+    CR choice; PREV_SLOT caches the choice in a token instead, and GENIE
+    reads the current channel.  A run starts at start[7]: links never
+    observed count as Good.
     """
     nxt, done = kernel(strategy, convention, mode)
     start = np.arange(8) if mode is CsiMode.LAST_KNOWN else np.zeros(8, dtype=np.intp)
@@ -217,10 +219,9 @@ def _channel_path(model: JointChannelModel, n_slots: int, seed: int) -> np.ndarr
     return np.concatenate(list(_channel_blocks(model, n_slots, seed)))
 
 
-def _regenerative_stderr(lengths: np.ndarray, n_batches: int = 100) -> float:
+def _regenerative_stderr(lengths: np.ndarray) -> float:
     """Ratio-estimator standard error over round-aligned batches."""
-    n_rounds = lengths.shape[0]
-    n_b = min(n_batches, n_rounds)
+    n_b = min(_N_BATCHES, lengths.shape[0])
     if n_b < 2:
         return float("nan")
     batches = np.array_split(lengths.astype(np.float64), n_b)
@@ -233,7 +234,7 @@ def _regenerative_stderr(lengths: np.ndarray, n_batches: int = 100) -> float:
 
 
 def _fsm_key(config: SimConfig) -> tuple[Strategy, XorConvention, CsiMode]:
-    mode = config.csi_mode if config.strategy in _CR_FAMILY else CsiMode.PREV_SLOT
+    mode = config.csi_mode if config.strategy.reads_csi else CsiMode.PREV_SLOT
     return config.strategy, config.xor_convention, mode
 
 
@@ -273,7 +274,7 @@ def run(config: SimConfig) -> SimStats:
 def run_csi_comparison(config: SimConfig) -> tuple[SimStats, SimStats, SimStats]:
     """Run the same seed under the three CSI views, on one channel draw that
     all three walk; only the CR decision rule differs between the runs."""
-    if config.strategy not in _CR_FAMILY:
+    if not config.strategy.reads_csi:
         raise ValueError("CSI-mode comparison is defined for the CR family only")
     modes = (CsiMode.PREV_SLOT, CsiMode.LAST_KNOWN, CsiMode.GENIE)
     return tuple(run_many(replace(config, csi_mode=mode) for mode in modes))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from twarq.analysis import (
-    SubState,
     _components,
     _plan,
     aggregate_coarse,
@@ -23,7 +22,7 @@ from twarq.channel import (
     outage_probability,
 )
 from twarq.exceptions import NumericalError
-from twarq.protocol import CsiMode, Strategy, XorConvention, kernel
+from twarq.protocol import CsiMode, Node, Phase, Strategy, XorConvention, kernel, kernel_nodes
 
 from _oracles import chain_throughput_mp, stationary_power_iteration
 
@@ -63,13 +62,23 @@ def test_substate_counts():
         assert space.n_t0 == 8 and space.n_t1 == 32
 
 
+def substate(strategy: Strategy, m: int) -> tuple[Node, int]:
+    """The (kernel node, channel) pair of sub-state m = node*8 + chan."""
+    node, chan = divmod(m, 8)
+    return kernel_nodes(strategy)[node], chan
+
+
+def substate_index(strategy: Strategy, node: Node, chan: int) -> int:
+    return 8 * kernel_nodes(strategy).index(node) + chan
+
+
 def test_substate_order_t0_t1_r():
-    space = enumerate_substates(Strategy.RR_NC)
-    assert space.states[0] == SubState("T0", 0)
-    assert space.states[7] == SubState("T0", 7)
-    assert space.states[8] == SubState("T1", 0, a=0)
-    assert space.states[39] == SubState("T1", 7, a=3)
-    assert space.states[40].kind == "R"
+    assert len(enumerate_substates(Strategy.RR_NC)) == 8 * len(kernel_nodes(Strategy.RR_NC))
+    assert substate(Strategy.RR_NC, 0) == (Node(Phase.TRANSMISSION_1), 0)
+    assert substate(Strategy.RR_NC, 7) == (Node(Phase.TRANSMISSION_1), 7)
+    assert substate(Strategy.RR_NC, 8) == (Node(Phase.TRANSMISSION_2, a=0), 0)
+    assert substate(Strategy.RR_NC, 39) == (Node(Phase.TRANSMISSION_2, a=3), 7)
+    assert substate(Strategy.RR_NC, 40)[0].kind is Phase.RETRANSMISSION
 
 
 def test_sw_arq_has_no_chain():
@@ -78,10 +87,16 @@ def test_sw_arq_has_no_chain():
 
 
 def test_tokened_rows_match_c_rows():
-    assert enumerate_substates(Strategy.CR_NC).tokened_rows == {2, 6, 7, 9, 11}
-    assert enumerate_substates(Strategy.CR).tokened_rows == {2, 3, 6, 7, 9, 11}
-    assert enumerate_substates(Strategy.AR).tokened_rows == set(range(12))
-    assert enumerate_substates(Strategy.RR_NC).tokened_rows == set()
+    def tokened(strategy, view=CsiMode.PREV_SLOT):
+        return {node.b for node in kernel_nodes(strategy, view) if node.token is not None}
+
+    assert tokened(Strategy.CR_NC) == {2, 6, 7, 9, 11}
+    assert tokened(Strategy.CR) == {2, 3, 6, 7, 9, 11}
+    assert tokened(Strategy.AR) == set(range(12))
+    assert tokened(Strategy.RR_NC) == set()
+    # the stored view (last-known) or the current channel (genie) fixes the CR choice
+    for strategy in (Strategy.CR, Strategy.CR_NC):
+        assert tokened(strategy, CsiMode.LAST_KNOWN) == tokened(strategy, CsiMode.GENIE) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +127,16 @@ def test_xor_row_transitions_follow_the_update_table():
     p_c = joint_matrix(model)
     mat = transition_matrix(space, model)
 
-    def idx(kind, chan, **kw):
-        return space.index[SubState(kind, chan, **kw)]
+    def idx(chan, b=None):
+        node = Node(Phase.TRANSMISSION_1) if b is None else Node(Phase.RETRANSMISSION, b=b)
+        return substate_index(Strategy.RR_NC, node, chan)
 
     for j in range(8):
-        assert mat[idx("R", 0, b=3), idx("R", j, b=3)] == pytest.approx(p_c[0, j], rel=1e-14)
-        assert mat[idx("R", 2, b=3), idx("R", j, b=7)] == pytest.approx(p_c[2, j], rel=1e-14)
-        assert mat[idx("R", 4, b=3), idx("R", j, b=11)] == pytest.approx(p_c[4, j], rel=1e-14)
-        assert mat[idx("R", 6, b=3), idx("T0", j)] == pytest.approx(p_c[6, j], rel=1e-14)
-        assert mat[idx("R", 7, b=3), idx("T0", j)] == pytest.approx(p_c[7, j], rel=1e-14)
+        assert mat[idx(0, b=3), idx(j, b=3)] == pytest.approx(p_c[0, j], rel=1e-14)
+        assert mat[idx(2, b=3), idx(j, b=7)] == pytest.approx(p_c[2, j], rel=1e-14)
+        assert mat[idx(4, b=3), idx(j, b=11)] == pytest.approx(p_c[4, j], rel=1e-14)
+        assert mat[idx(6, b=3), idx(j)] == pytest.approx(p_c[6, j], rel=1e-14)
+        assert mat[idx(7, b=3), idx(j)] == pytest.approx(p_c[7, j], rel=1e-14)
 
 
 def test_second_slot_new_round_condition():
@@ -130,7 +146,7 @@ def test_second_slot_new_round_condition():
     t0 = space.t0_slice
     for a in range(4):
         for i in range(8):
-            row = mat[space.index[SubState("T1", i, a=a)]]
+            row = mat[substate_index(Strategy.RR_NC, Node(Phase.TRANSMISSION_2, a=a), i)]
             goes_new_round = row[t0].sum() > 0
             assert goes_new_round == (a >= 2 and i & 1 == 1)
 
@@ -396,6 +412,8 @@ def test_round_components_are_small(view, bound):
             comps = _components(step)
             assert sorted(np.concatenate(comps).tolist()) == list(range(nxt.shape[0]))
             assert max(c.size for c in comps) <= bound
+            if strat in (Strategy.CR, Strategy.CR_NC):  # no CR token under last-known
+                assert max(c.size for c in comps) <= 2
             # topological: no edge runs from a later component to an earlier one
             rank = np.empty(nxt.shape[0], dtype=int)
             for k, c in enumerate(comps):

@@ -52,6 +52,10 @@ def test_c_row_sets():
         assert c_rows(strat) == (2, 3, 6, 7, 9, 11)
 
 
+def test_only_cr_reads_the_channel_view():
+    assert {s for s in Strategy if s.reads_csi} == {Strategy.CR, Strategy.CR_NC}
+
+
 def test_policy_transmission_phases():
     ctx = PolicyContext(phase=Phase.TRANSMISSION_1)
     for strat in ALL_STRATEGIES:
@@ -368,7 +372,8 @@ PREV_STATES = {
 KERNEL_STATES = (
     [(s, CsiMode.PREV_SLOT, n) for s, n in PREV_STATES.items()]
     + [(s, CsiMode.GENIE, 17) for s in (Strategy.CR, Strategy.CR_NC)]
-    + [(s, CsiMode.LAST_KNOWN, 8 * n) for s, n in PREV_STATES.items()]
+    + [(s, CsiMode.LAST_KNOWN, 136 if s in (Strategy.CR, Strategy.CR_NC) else 8 * n)
+       for s, n in PREV_STATES.items()]
 )
 
 

@@ -128,6 +128,11 @@ REFERENCE_CONFIGS = [
     SimConfig(Strategy.CR, model_for(0.4, 10.0, 0.99), 3000, 18,
               csi_mode=CsiMode.LAST_KNOWN,
               xor_convention=XorConvention.PHYSICAL),
+    SimConfig(Strategy.CR, model_for(0.6, 0.0, 0.9), 3000, 16,
+              csi_mode=CsiMode.LAST_KNOWN),
+    SimConfig(Strategy.CR_NC, model_for(0.5, 10.0, 0.9), 3000, 17,
+              csi_mode=CsiMode.LAST_KNOWN,
+              xor_convention=XorConvention.PHYSICAL),
 ]
 
 
