@@ -290,6 +290,8 @@ def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
             fail(f"--sweep over {axis} conflicts with --pss/--fs-db")
         if axis == "rho" and values.get("rho") is not None:
             fail("--sweep over rho conflicts with --rho")
+        if axis == "rho" and fm_tp is not None:
+            fail("--sweep over rho conflicts with --fm-tp")
         if axis == "fr-over-fs-db" and values.get("fr-over-fs-db") is not None:
             fail("--sweep over fr-over-fs-db conflicts with --fr-over-fs-db")
         if axis == "rho":

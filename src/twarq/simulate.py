@@ -8,9 +8,11 @@ block from where the previous block left it.  Memory is O(block) per
 machine plus one record per completed round, whatever the horizon.
 
 A machine is protocol.kernel, the (state, channel) table the analytic chain
-is built from, for the run's CSI view.  The group's tables are concatenated,
-and every (machine, chunk) column of a block advances in lockstep, one
-gather per slot, from a guessed start a fixed lookback before its chunk; a
+is built from, for the run's CSI view, composed with itself into a table
+that steps two slots at once and flags, by bit 0 and bit 8, which of the two
+slots completed a round.  The group's tables are concatenated, and every
+(machine, chunk) column of a block advances in lockstep, one gather per
+pair of slots, from a guessed start a fixed lookback before its chunk; a
 left-to-right stitch keeps the result exact.
 
 Throughput is delivered packets over slots.  The standard error is a ratio
@@ -25,6 +27,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,9 +67,9 @@ class SimStats:
 
 
 # Walk geometry: the horizon is sampled and walked in blocks of _BLOCK slots,
-# and each block is split into chunks of _CHUNK slots walked in lockstep.  A
-# short block gets shorter chunks, at least _MIN_CHUNKS of them, so that a
-# short run does not pay one numpy call per slot.
+# and each block is split into chunks of _CHUNK slots walked in lockstep, two
+# slots a step.  A short block gets shorter chunks, at least _MIN_CHUNKS of
+# them, so that a short run does not pay one numpy call per slot pair.
 _BLOCK = 1 << 18
 _CHUNK = 2048
 _MIN_CHUNKS = 64
@@ -74,92 +77,119 @@ _MIN_CHUNKS = 64
 # joined the true trajectory by then.  Capped at a quarter of the chunk: the
 # short chunks of a short run would pay more lockstep steps than it saves.
 _LOOKBACK = 256
-# Slots converted to Python lists at a time while the stitch walks a chunk
-# again; most chunks meet their guessed trajectory within a few rounds.
+# Slot pairs converted to Python lists at a time while the stitch walks a
+# chunk again; most chunks meet their guessed trajectory within a few rounds.
 _STITCH_WINDOW = 64
 # Round-aligned batches of the regenerative standard error.
 _N_BATCHES = 100
 
 
-@lru_cache(maxsize=None)
-def _fsm(
-    strategy: Strategy, convention: XorConvention, mode: CsiMode
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel for the CSI view as 1-D tables over the index s*8 + chan.
+class _Machine(NamedTuple):
+    """One kernel as the flat tables the walk indexes (see `_fsm`)."""
 
-    Returns (nxt, done, start): nxt[s*8 + c] is 8*s' for the next state s',
-    pre-scaled so that one add forms the next index; done[s*8 + c] marks a
-    completed round; start[c] is 8*s for node T0 whose view is channel c.
-    Only LAST_KNOWN keeps a view in the state, and that view alone fixes the
-    CR choice; PREV_SLOT caches the choice in a token instead, and GENIE
-    reads the current channel.  A run starts at start[7]: links never
-    observed count as Good.
+    nxt: np.ndarray
+    start: np.ndarray
+    nxt2: np.ndarray
+    done2: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _fsm(strategy: Strategy, convention: XorConvention, mode: CsiMode) -> _Machine:
+    """The kernel for the CSI view, stepped one slot and two slots at a time.
+
+    nxt[s*8 + c] is 8*s' for the next state s', pre-scaled so that one add
+    forms the next index.  Over the index s*64 + c1*8 + c2 of a state and
+    the channels of two slots, nxt2 is 64*s'' for the state after both, and
+    done2 is a little-endian 16-bit flag: bit 0 marks a round completed in
+    the first slot, bit 8 one completed in the second, so that the bytes of
+    a run of flags mark completions slot by slot.  start[c] is the state of
+    node T0 whose view is channel c.  Only LAST_KNOWN keeps a view in the
+    state, and that view alone fixes the CR choice; PREV_SLOT caches the
+    choice in a token instead, and GENIE reads the current channel.  A run
+    starts at start[7]: links never observed count as Good.
     """
     nxt, done = kernel(strategy, convention, mode)
+    nxt, done = 8 * nxt.ravel(), done.ravel()
+    mid = nxt[:, None] + np.arange(8)  # the index of the second slot
+    done2 = done[:, None] | done[mid].astype(np.uint16) << 8
     start = np.arange(8) if mode is CsiMode.LAST_KNOWN else np.zeros(8, dtype=np.intp)
-    tables = (8 * nxt.ravel(), done.ravel(), 8 * start)
+    tables = _Machine(nxt, start, 8 * nxt[mid].ravel(), done2.ravel().astype("<u2"))
     for tab in tables:
         tab.setflags(write=False)
     return tables
 
 
-def _walk(blocks: Iterable[np.ndarray], fsms: Sequence[tuple]) -> list[np.ndarray]:
+def _walk(blocks: Iterable[np.ndarray], fsms: Sequence[_Machine]) -> list[np.ndarray]:
     """Slots at which rounds complete, one array per FSM, over the
     concatenated channel blocks.  All FSMs walk each block together, each
     from the state it ended the previous block in, on one table: theirs
-    stacked, each shifted by the size of those before it."""
-    base = np.cumsum([0] + [fsm[0].shape[0] for fsm in fsms[:-1]])
-    nxt = np.concatenate([fsm[0] + b for fsm, b in zip(fsms, base)])
-    done = np.concatenate([fsm[1] for fsm in fsms])
-    start = np.stack([fsm[2] + b for fsm, b in zip(fsms, base)])
-    nxt_list = nxt.tolist()  # the stitch steps one slot at a time
+    stacked, each shifted by the states of those before it."""
+    base = np.cumsum([0] + [fsm.nxt.shape[0] // 8 for fsm in fsms[:-1]])
+    nxt = np.concatenate([fsm.nxt + 8 * b for fsm, b in zip(fsms, base)])
+    nxt2 = np.concatenate([fsm.nxt2 + 64 * b for fsm, b in zip(fsms, base)])
+    done2 = np.concatenate([fsm.done2 for fsm in fsms])
+    start = 64 * np.stack([fsm.start + b for fsm, b in zip(fsms, base)])
+    nxt2_list = nxt2.tolist()  # the stitch steps one pair of slots at a time
     found = [[] for _ in fsms]
     offset = 0
     state = start[:, 7]
     for path in blocks:
-        hits, state = _walk_block(path, state, nxt, nxt_list, done, start)
+        hits, state = _walk_block(path, state, nxt, nxt2, nxt2_list, done2, start)
         for acc, h in zip(found, hits):
-            acc.append(h + offset)
+            h += offset
+            acc.append(h)
         offset += path.shape[0]
     return [np.concatenate(acc) for acc in found]
 
 
-def _walk_block(path: np.ndarray, state: np.ndarray, nxt: np.ndarray, nxt_list: list,
-                done: np.ndarray, start: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Walk one block as chunks, every FSM at once; returns (completion slots
-    within the block per FSM, end states).
+def _walk_block(path: np.ndarray, state: np.ndarray, nxt: np.ndarray, nxt2: np.ndarray,
+                nxt2_list: list, done2: np.ndarray,
+                start: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Walk one block as chunks, every FSM at once, two slots a step;
+    returns (completion slots within the block per FSM, end states).
+
+    A step reads the channels of a pair of slots as one index c1*8 + c2
+    into the two-slot tables of `_fsm`, whose flag marks a completion in
+    the pair's first slot by bit 0 and in its second by bit 8.  An odd
+    block ends in a pair padded with one all-Bad slot; its end state is
+    read from the single-slot table at the first slot of that pair.
 
     Data-parallel FSM walk (Mytkowicz, Musuvathi & Schulte, ASPLOS 2014):
     each chunk after the first starts from a guess, start[c] for the channel
     c just before its lookback, and walks the lookback and then the chunk,
-    one gather per slot for all (FSM, chunk) columns.  A left-to-right
-    stitch per FSM walks a chunk whose guess differs from the true end of
-    the chunk before it again from the true state, but only until the two
-    trajectories meet; from there on they agree.  A chunk that never meets
-    it, as when no round completes in it, is walked to its end.
+    one gather per pair of slots for all (FSM, chunk) columns.  A
+    left-to-right stitch per FSM walks a chunk whose guess differs from the
+    true end of the chunk before it again from the true state, but only
+    until the two trajectories meet; from there on they agree.  A chunk
+    that never meets it, as when no round completes in it, is walked to its
+    end.
     """
     n = path.shape[0]
-    length = max(1, min(_CHUNK, n // _MIN_CHUNKS))
-    k = -(-n // length)
-    tail = n - (k - 1) * length
-    # chan[t, j] is slot j*length + t; the last chunk is padded with index 0
-    # (every link Bad), in which no round completes
+    m = -(-n // 2)  # slot pairs
+    length = max(1, min(_CHUNK // 2, m // _MIN_CHUNKS))
+    k = -(-m // length)
+    tail = m - (k - 1) * length
+    pairs = path[::2] << 3
+    pairs[: n // 2] |= path[1::2]
+    # chan[t, j] is pair j*length + t; the last chunk is padded with index 0
+    # (every link Bad in both slots), in which no round completes
     chan = np.zeros((length, k), dtype=np.intp)
-    chan.T[: k - 1] = path[: n - tail].reshape(k - 1, length)
-    chan[:tail, k - 1] = path[n - tail :]
-    take = nxt.take
+    chan.T[: k - 1] = pairs[: m - tail].reshape(k - 1, length)
+    chan[:tail, k - 1] = pairs[m - tail :]
+    take = nxt2.take
     # s[f, j]: FSM f's state in chunk j; the guesses walk the lookback first
     s = np.empty((state.shape[0], k), dtype=np.intp)
     s[:, 0] = state
-    w = min(_LOOKBACK, length // 4)
-    guess = start[:, chan[length - 1 - w, : k - 1]].copy()  # C order, for fast gathers
+    w = min(_LOOKBACK // 2, length // 4)
+    # C order, for fast gathers; c & 7 is the second slot of pair c
+    guess = start[:, chan[length - 1 - w, : k - 1] & 7].copy()
     ahead = np.empty_like(guess)
     for c in chan[length - w :, : k - 1]:
         np.add(guess, c, out=ahead)
         take(ahead, out=guess, mode="clip")
     s[:, 1:] = guess
     guesses = s.tolist()
-    # idx[t, f, j] = state*8 + chan: the table index of FSM f in chunk j
+    # idx[t, f, j] = state*64 + pair: the table index of FSM f in chunk j
     idx = np.empty((length, *s.shape), dtype=np.intp)
     for c, i in zip(chan, idx):
         np.add(s, c, out=i)
@@ -180,14 +210,16 @@ def _walk_block(path: np.ndarray, state: np.ndarray, nxt: np.ndarray, nxt_list: 
                     if i == guessed:
                         break
                     walked.append(i)
-                    true = nxt_list[i]
+                    true = nxt2_list[i]
                 idx[lo : lo + len(walked), f, j] = walked
                 if len(walked) < hi - lo:  # met the guessed trajectory
                     true = guessed_ends[j]
                     break
-    end = nxt[idx[tail - 1, :, k - 1]]
-    hits = done.take(idx).transpose(1, 2, 0).reshape(idx.shape[1], -1)[:, :n]
-    return [np.flatnonzero(h) for h in hits], end
+    last = idx[tail - 1, :, k - 1]
+    end = 8 * nxt[last >> 3] if n % 2 else nxt2[last]
+    flags = done2.take(idx).transpose(1, 2, 0).reshape(idx.shape[1], -1)
+    # every byte of a flag is 0 or 1, so the bytes read as bools
+    return [np.flatnonzero(h) for h in flags.view(np.bool_)[:, :n]], end
 
 
 def _channel_blocks(
@@ -219,14 +251,19 @@ def _channel_path(model: JointChannelModel, n_slots: int, seed: int) -> np.ndarr
     return np.concatenate(list(_channel_blocks(model, n_slots, seed)))
 
 
-def _regenerative_stderr(lengths: np.ndarray) -> float:
-    """Ratio-estimator standard error over round-aligned batches."""
-    n_b = min(_N_BATCHES, lengths.shape[0])
+def _regenerative_stderr(done: np.ndarray) -> float:
+    """Ratio-estimator standard error over round-aligned batches, from the
+    completion slots.  The batches split the rounds as np.array_split does;
+    a batch's length is the gap between the completion slots that bound it,
+    an integer, so each float is the one a sum over its round lengths gives."""
+    n_rounds = done.shape[0]
+    n_b = min(_N_BATCHES, n_rounds)
     if n_b < 2:
         return float("nan")
-    batches = np.array_split(lengths.astype(np.float64), n_b)
-    batch_len = np.array([b.sum() for b in batches])
-    batch_yield = np.array([2.0 * b.size for b in batches])
+    rounds = np.full(n_b, n_rounds // n_b)
+    rounds[: n_rounds % n_b] += 1
+    batch_len = np.diff(done[np.cumsum(rounds) - 1], prepend=-1).astype(np.float64)
+    batch_yield = 2.0 * rounds
     eta = batch_yield.sum() / batch_len.sum()
     excess = batch_yield - eta * batch_len
     var = float((excess**2).sum()) / (n_b - 1)
@@ -252,16 +289,17 @@ def run_many(configs: Iterable[SimConfig]) -> list[SimStats]:
         walked = _walk(_channel_blocks(model, n_slots, seed), [_fsm(*key) for key in keys])
         completions = dict(zip(keys, walked))
         for i in members:
-            lengths = np.diff(completions[_fsm_key(configs[i])], prepend=np.int64(-1))
-            n_rounds = lengths.shape[0]
+            done = completions[_fsm_key(configs[i])]
+            n_rounds = done.shape[0]
             out[i] = SimStats(
                 config=configs[i],
                 slots_run=n_slots,
                 rounds_completed=n_rounds,
                 delivered_packets=2 * n_rounds,
                 throughput_estimate=2.0 * n_rounds / n_slots,
-                std_error=_regenerative_stderr(lengths),
-                mean_round_length=float(lengths.mean()) if n_rounds else float("nan"),
+                std_error=_regenerative_stderr(done),
+                # the rounds fill slots 0..done[-1]
+                mean_round_length=(int(done[-1]) + 1) / n_rounds if n_rounds else float("nan"),
             )
     return out
 

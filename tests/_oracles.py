@@ -13,11 +13,14 @@ the two-state chain scalar-wise.  The protocol oracle replays the state
 machine slot by slot through the public protocol API, not through
 protocol.kernel, so it checks the kernel.  The walk oracle does read the
 kernel, one slot at a time: it checks the chunked data-parallel walk and
-its stitch, not the table the walk reads.
+its stitch, not the table the walk reads.  The round statistics oracle sums
+per-round lengths batch by batch, where the simulator reads each batch off
+the completion slots that bound it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import mpmath
@@ -128,14 +131,21 @@ def stationary_power_iteration(mat: np.ndarray, tol: float = 1e-14) -> np.ndarra
     raise RuntimeError("power iteration stalled")
 
 
-def link_path_scalar(ge: GilbertElliottParams, n_slots: int, rng) -> np.ndarray:
+def link_path_scalar(ge: GilbertElliottParams, n_slots: int, rng,
+                     start: int | None = None) -> np.ndarray:
     """Step the two-state chain one uniform at a time: the next state is
-    Good iff u < p_bg from Bad, u < p_gg from Good."""
-    pi_bad = ge.p_gb / (ge.p_gb + ge.p_bg)
-    cur = 0 if rng.random() < pi_bad else 1
+    Good iff u < p_bg from Bad, u < p_gg from Good.  Without `start` the
+    first slot is drawn stationary; with it, every slot is a step from the
+    state before, the first from `start`."""
     out = np.empty(n_slots, dtype=np.int8)
-    out[0] = cur
-    for k in range(1, n_slots):
+    if start is None:
+        pi_bad = ge.p_gb / (ge.p_gb + ge.p_bg)
+        cur = 0 if rng.random() < pi_bad else 1
+        out[0] = cur
+        first = 1
+    else:
+        cur, first = start, 0
+    for k in range(first, n_slots):
         p_good = ge.p_bg if cur == 0 else ge.p_gg
         cur = 1 if rng.random() < p_good else 0
         out[k] = cur
@@ -206,6 +216,24 @@ def walk_reference(
             completions.append(k)
         state = nxt[state][c]
     return np.array(completions, dtype=np.int64)
+
+
+def round_stats_from_lengths(done: np.ndarray) -> tuple[float, float]:
+    """(regenerative standard error, mean round length) from the per-round
+    lengths of a run whose rounds complete at the slots `done`: the ratio
+    estimator over 100 np.array_split batches of the float64 round lengths."""
+    lengths = np.diff(done, prepend=np.int64(-1))
+    mean = float(lengths.mean()) if lengths.shape[0] else float("nan")
+    n_b = min(100, lengths.shape[0])
+    if n_b < 2:
+        return float("nan"), mean
+    batches = np.array_split(lengths.astype(np.float64), n_b)
+    batch_len = np.array([b.sum() for b in batches])
+    batch_yield = np.array([2.0 * b.size for b in batches])
+    eta = batch_yield.sum() / batch_len.sum()
+    excess = batch_yield - eta * batch_len
+    var = float((excess**2).sum()) / (n_b - 1)
+    return math.sqrt(var / n_b) / float(batch_len.mean()), mean
 
 
 def chain_throughput_mp(strategy: Strategy, model, convention: XorConvention,

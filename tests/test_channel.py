@@ -25,6 +25,10 @@ from twarq.simulate import _channel_path
 from _oracles import good_to_bad_mp, link_path_scalar, marcum_q_mp, marcum_q_quad
 
 GRID_01 = np.linspace(0.05, 0.95, 19)
+# a relay link of the benchmark's long simulations: +10 dB over pss 0.327 at
+# rho 0.99, where about 40 % of the sampler's uniforms force a state
+SIM_LONG_RELAY = ge_transitions(
+    outage_probability(fading_margin_from_outage(0.327) * db_to_linear(10.0)), 0.99)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +360,7 @@ def test_channel_path_empirical_distribution():
         GilbertElliottParams.always_bad(),
         GilbertElliottParams(0.9, 0.8),  # negatively correlated: the state toggles
         ge_transitions(0.79, 0.0),  # p_bg exceeds p_gg by 1 ulp
+        SIM_LONG_RELAY,
     ],
 )
 def test_link_path_matches_scalar_stepping(ge):
@@ -370,6 +375,45 @@ def test_link_path_matches_scalar_stepping(ge):
     for n in (1, 1499, 2500):
         pieces.append(sample_link_path(ge, n, rng, start=int(pieces[-1][-1])))
     assert np.array_equal(np.concatenate(pieces), ref)
+
+    # every slot a step from a given start, down to one slot
+    for start in (0, 1):
+        for n in (1, 2, 7, 5000):
+            vec = sample_link_path(ge, n, np.random.Generator(np.random.PCG64(seed)), start)
+            ref = link_path_scalar(ge, n, np.random.Generator(np.random.PCG64(seed)), start)
+            assert np.array_equal(vec, ref), (start, n)
+
+
+def test_sim_long_relay_link_is_about_40_percent_forced():
+    u = np.random.default_rng(5).random(100_000)
+    lo, hi = sorted((SIM_LONG_RELAY.p_bg, SIM_LONG_RELAY.p_gg))
+    assert 0.35 <= np.mean((u < lo) | (u >= hi)) <= 0.45
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_link_path_start_when_slot_0_is_not_forced(start):
+    """Slot 0 holds the start state when its uniform forces nothing."""
+    ge = SIM_LONG_RELAY
+    seed = next(s for s in range(100)
+                if ge.p_bg <= np.random.Generator(np.random.PCG64(s)).random() < ge.p_gg)
+    for n in (1, 2, 7, 1000):
+        vec = sample_link_path(ge, n, np.random.Generator(np.random.PCG64(seed)), start)
+        ref = link_path_scalar(ge, n, np.random.Generator(np.random.PCG64(seed)), start)
+        assert vec[0] == start
+        assert np.array_equal(vec, ref), n
+
+
+@pytest.mark.parametrize(
+    "ge", [GilbertElliottParams(0.0, 0.0), GilbertElliottParams(1.0, 1.0)],
+    ids=["sticky", "toggling"])
+@pytest.mark.parametrize("start", [0, 1])
+def test_link_path_with_no_forced_slot(ge, start):
+    """No uniform forces a state: the path holds `start`, or alternates from it."""
+    n = 4097
+    vec = sample_link_path(ge, n, np.random.default_rng(9), start)
+    assert np.array_equal(vec, link_path_scalar(ge, n, np.random.default_rng(9), start))
+    expected = start ^ (np.arange(1, n + 1) & 1) if ge.p_bg > ge.p_gg else np.full(n, start)
+    assert np.array_equal(vec, expected)
 
 
 def test_link_path_single_slot():

@@ -215,6 +215,17 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--rho", "--fm-tp"])
+def test_rho_sweep_conflicts_with_a_fixed_correlation(flag, capsys):
+    """--fm-tp fixes the correlation as --rho does, so a rho sweep rejects
+    either of them instead of dropping it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--strategy", "rr", "--pss", "0.3", flag, "0.1",
+              "--sweep", "rho:0:0.5:0.5"])
+    assert exc.value.code == 2
+    assert f"--sweep over rho conflicts with {flag}" in capsys.readouterr().err
+
+
 def test_figure_fig4_small(tmp_path):
     out = tmp_path / "fig4.csv"
     assert main(["figure", "fig4", "--n-slots", "2000", "--seed", "3",

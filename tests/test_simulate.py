@@ -13,7 +13,7 @@ from twarq.channel import (
     fading_margin_from_outage,
     outage_probability,
 )
-from twarq.protocol import Strategy, XorConvention
+from twarq.protocol import Strategy, XorConvention, kernel
 from twarq.simulate import (
     _BLOCK,
     _CHUNK,
@@ -27,7 +27,12 @@ from twarq.simulate import (
     run_many,
 )
 
-from _oracles import link_path_scalar, simulate_reference, walk_reference
+from _oracles import (
+    link_path_scalar,
+    round_stats_from_lengths,
+    simulate_reference,
+    walk_reference,
+)
 
 COOPERATIVE = [s for s in Strategy if s.cooperative]
 
@@ -191,6 +196,41 @@ def test_walk_matches_sequential_reference(strategy, convention, mode, walk_path
     assert np.array_equal(_walk_in_blocks(path, fsm), expected)
 
 
+TABLE_CASES = [(s, c, m) for s in Strategy for c in XorConvention for m in CsiMode]
+
+
+@pytest.mark.parametrize("strategy,convention,mode", TABLE_CASES,
+                         ids=lambda v: getattr(v, "value", v))
+def test_two_slot_tables_are_two_single_steps(strategy, convention, mode):
+    """For every (state, c1, c2), the two-slot step lands where two kernel
+    steps do, and its flag's first byte marks a round completed in the
+    first slot, its second byte one completed in the second."""
+    nxt, done = (tab.tolist() for tab in kernel(strategy, convention, mode))
+    fsm = _fsm(strategy, convention, mode)
+    assert fsm.nxt.tolist() == [8 * s for row in nxt for s in row]
+    nxt2 = fsm.nxt2.tolist()
+    flags = fsm.done2.view(np.uint8).reshape(-1, 2).tolist()
+    assert len(nxt2) == len(flags) == 64 * len(nxt)
+    for s, (row_nxt, row_done) in enumerate(zip(nxt, done)):
+        for c1, mid in enumerate(row_nxt):
+            for c2 in range(8):
+                i = 64 * s + 8 * c1 + c2
+                assert nxt2[i] == 64 * nxt[mid][c2], (s, c1, c2)
+                assert flags[i] == [row_done[c1], done[mid][c2]], (s, c1, c2)
+
+
+def test_walk_carries_state_out_of_odd_blocks(walk_path):
+    """A block of odd length ends in the first slot of a padded pair; the
+    next block starts from the state after that slot, not after the pad."""
+    sizes = (1, 3, 2 * _CHUNK + 1, 5, _CHUNK - 1, 7, 4 * _CHUNK + 3, 2)
+    bounds = np.cumsum((0,) + sizes)
+    path = walk_path[: bounds[-1]]
+    fsms = [_fsm(*case) for case in WALK_CASES]
+    got = _walk((path[lo:hi] for lo, hi in zip(bounds, bounds[1:])), fsms)
+    for case, g in zip(WALK_CASES, got):
+        assert np.array_equal(g, walk_reference(path, *case)), case
+
+
 def _walk_group_in_blocks(path, fsms):
     return _walk((path[lo : lo + _BLOCK] for lo in range(0, path.shape[0], _BLOCK)), fsms)
 
@@ -281,6 +321,39 @@ def test_memory_does_not_grow_with_horizon():
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / 1_600_000 <= 12.0
+
+
+# ---------------------------------------------------------------------------
+# Round statistics
+# ---------------------------------------------------------------------------
+
+
+def _assert_stats_match_oracle(stats, done):
+    std_error, mean_round_length = round_stats_from_lengths(done)
+    assert stats.rounds_completed == done.shape[0]
+    assert stats.std_error.hex() == std_error.hex()
+    assert stats.mean_round_length.hex() == mean_round_length.hex()
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 99, 100, 101])
+def test_round_stats_equal_per_round_oracle(rounds):
+    """Batch lengths read off the completion slots give, bit for bit, the
+    standard error and mean that the per-round lengths give, around the
+    batch count and with a trailing incomplete round."""
+    model = model_for(0.4, 10.0, 0.99)
+    done = walk_reference(_channel_path(model, 5000, seed=3),
+                          Strategy.AR_NC, XorConvention.SAME_INDEX, CsiMode.PREV_SLOT)
+    n_slots = int(done[rounds])  # rounds 0..rounds-1 complete before this slot
+    stats = run(SimConfig(Strategy.AR_NC, model, n_slots, seed=3))
+    _assert_stats_match_oracle(stats, done[:rounds])
+
+
+def test_round_stats_equal_per_round_oracle_long():
+    cfg = SimConfig(Strategy.RR_NC, model_for(0.327, 10.0, 0.99), 2_000_000, 12345)
+    done = _walk_in_blocks(_channel_path(cfg.model, cfg.n_slots, cfg.seed),
+                           _fsm(Strategy.RR_NC, XorConvention.SAME_INDEX, CsiMode.PREV_SLOT))
+    assert 750_000 <= done.shape[0] <= 900_000
+    _assert_stats_match_oracle(run(cfg), done)
 
 
 # ---------------------------------------------------------------------------
