@@ -2,21 +2,28 @@
 
 Subcommands: `analytic` (chain solve only), `simulate` (Monte Carlo, or both
 engines side by side), `figure` (canned sweeps whose settings ship as config
-files inside the package), and `selftest` (quick end-to-end sanity check).
+files inside the package), and `selftest` (three end-to-end checks of the
+installed engines).
 
-Every flag can also be given in a config file of `key = value` lines (the
-key is the long flag name without the dashes; any other key is a usage
-error); explicit flags win over file values.  Config files may give comma lists for strategy, rho,
-fr-over-fs-db and csi-mode, which expand to a cross product of rows.
+Each sweep option is declared once, in `_OPTIONS`: its key is both the long
+flag name and the key of a config file of `key = value` lines (any other key
+is a usage error).  Explicit flags win over file values, and a flag for one
+key of a pair (pss and fs-db, rho and fm-tp) replaces the file's value of
+both.  Config files may give comma lists for strategy, rho, fm-tp,
+fr-over-fs-db and csi-mode, which expand to a cross product of rows; on the
+command line --strategy repeats instead.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error (a dB value too large for a float among
+them), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -36,12 +43,16 @@ from .simulate import CsiMode, SimConfig, run, run_many
 
 CSV_HEADER = "strategy,rho,fs_db,fr_db,pss,psr,eta_analytic,eta_sim,sim_stderr,n_slots,seed"
 
-_AXES = ("pss", "fs-db", "rho", "fr-over-fs-db")
 _FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig9csi")
 
-_STRATEGY_BY_FLAG = {s.value: s for s in Strategy}
-_CSI_BY_FLAG = {m.value: m for m in CsiMode}
-_CONVENTION_BY_FLAG = {c.value: c for c in XorConvention}
+# The keys that fix each sweep axis.  A sweep over an axis conflicts with each
+# of them, and a flag for one of them replaces the file's values of all.
+_FIXED_BY = {
+    "pss": ("pss", "fs-db"),
+    "fs-db": ("pss", "fs-db"),
+    "rho": ("rho", "fm-tp"),
+    "fr-over-fs-db": ("fr-over-fs-db",),
+}
 
 
 @dataclass(frozen=True)
@@ -60,45 +71,13 @@ class SweepPoint:
 
 @dataclass
 class SweepSpec:
-    """Everything needed to produce one CSV: the grid and the engines."""
+    """Everything needed to produce one CSV: the rows and the engines."""
 
-    strategies: list[Strategy]
+    points: list[SweepPoint]
     engines: str
-    rho_values: list[float]
-    ratio_values: list[float]
-    direct_values: list[tuple[float, float]]  # (pss, fs_db) of the direct link
-    csi_modes: list[CsiMode]
     n_slots: int
     seed: int
     convention: XorConvention
-
-    def points(self) -> list[SweepPoint]:
-        out = []
-        for strategy in self.strategies:
-            modes = self.csi_modes if strategy.reads_csi else [CsiMode.PREV_SLOT]
-            for mode in modes:
-                label = strategy.value
-                if strategy.reads_csi and len(self.csi_modes) > 1:
-                    label = f"{strategy.value}:{mode.value}"
-                for rho in self.rho_values:
-                    for ratio in self.ratio_values:
-                        for pss, fs_db in self.direct_values:
-                            fs = db_to_linear(fs_db)
-                            fr_db = fs_db + ratio
-                            psr = outage_probability(fs * db_to_linear(ratio))
-                            out.append(
-                                SweepPoint(
-                                    strategy=strategy,
-                                    csi_mode=mode,
-                                    label=label,
-                                    rho=rho,
-                                    fs_db=fs_db,
-                                    fr_db=fr_db,
-                                    pss=pss,
-                                    psr=psr,
-                                )
-                            )
-        return out
 
 
 def _j0(x: float) -> float:
@@ -123,12 +102,12 @@ def execute(spec: SweepSpec) -> list[str]:
     (strategy-major, axis-ascending).  The analytic column is one
     `analytic_many` call per strategy; the simulate column is one `run_many`
     call over all points, so rows at one channel point share its path."""
-    points = spec.points()
+    points = spec.points
     models = [JointChannelModel.symmetric(p.pss, p.psr, p.rho) for p in points]
     etas: list = [None] * len(points)
     sims: list = [None] * len(points)
     if spec.engines in ("analytic", "both"):
-        for strategy in spec.strategies:
+        for strategy in dict.fromkeys(p.strategy for p in points):
             rows = [k for k, p in enumerate(points) if p.strategy is strategy]
             if strategy is Strategy.SW_ARQ:
                 solved = [sw_arq_throughput(points[k].pss) for k in rows]
@@ -160,41 +139,94 @@ def _emit(rows: list[str], out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Flag / config-file handling
+# Options: flags and config keys
 # ---------------------------------------------------------------------------
 
 
-def _split_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _one_of(choices) -> Callable[[str], object]:
+    """Reader of a named choice: the enum member (or string) the name gives."""
+    by_name = {getattr(c, "value", c): c for c in choices}
+
+    def read(text: str):
+        if text not in by_name:
+            raise ValueError(f"unknown value {text!r} (valid: {', '.join(by_name)})")
+        return by_name[text]
+
+    return read
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in _split_list(text)]
+def _read_sweep(text: str) -> tuple[str, list[float]]:
+    """AXIS:START:STOP:STEP as the axis and its values, both ends included."""
+    parts = text.split(":")
+    if len(parts) != 4 or parts[0] not in _FIXED_BY:
+        raise ValueError(f"expected AXIS:START:STOP:STEP with AXIS one of "
+                         f"{', '.join(_FIXED_BY)}, got {text!r}")
+    axis, (start, stop, step) = parts[0], map(float, parts[1:])
+    if not (step > 0 and stop >= start):
+        raise ValueError("needs step > 0 and stop >= start")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    values = [round(start + k * step, 10) for k in range(n)]
+    if axis == "pss" and not (0.0 < values[0] and values[-1] < 1.0):
+        raise ValueError("pss values must stay inside (0, 1)")
+    if axis == "rho" and not (0.0 <= values[0] and values[-1] < 1.0):
+        raise ValueError("rho values must stay inside [0, 1)")
+    return axis, values
 
 
-# Config keys (the long flag names) and how each value is read.  List-valued
-# keys take comma lists; their flags give a single value.
-_CONFIG_KEYS = {
-    "strategy": _split_list,
-    "pss": float,
-    "fs-db": float,
-    "fr-over-fs-db": _floats,
-    "rho": _floats,
-    "fm-tp": _floats,
-    "sweep": str,
-    "n-slots": int,
-    "seed": int,
-    "csi-mode": _split_list,
-    "xor-convention": str,
-    "engines": str,
-}
-_LIST_KEYS = ("fr-over-fs-db", "rho", "fm-tp", "csi-mode")
+@dataclass(frozen=True)
+class _Option:
+    """One sweep option: `--key` on the command line, `key = ...` in a file."""
+
+    key: str
+    read: Callable[[str], object]  # one value from its text
+    listed: bool  # a config file may give a comma list of values
+    help: str
+
+
+_OPTIONS = (
+    _Option("strategy", _one_of(Strategy), True,
+            f"strategy, repeatable ({', '.join(s.value for s in Strategy)})"),
+    _Option("pss", float, False, "direct-link outage probability in (0, 1)"),
+    _Option("fs-db", float, False, "direct-link fading margin in dB"),
+    _Option("fr-over-fs-db", float, True, "relay margin over direct margin in dB (default 10)"),
+    _Option("rho", float, True, "slot-to-slot channel correlation in [0, 1)"),
+    _Option("fm-tp", float, True,
+            "Doppler-packet product; correlation taken as J0(2*pi*fm*Tp)"),
+    _Option("sweep", _read_sweep, False,
+            f"swept axis as AXIS:START:STOP:STEP, AXIS one of {', '.join(_FIXED_BY)}"),
+    _Option("n-slots", int, False, "simulated slots per point (default 1000000)"),
+    _Option("seed", int, False, "simulation seed (default 12345)"),
+    _Option("csi-mode", _one_of(CsiMode), True,
+            "CR feedback view the simulator uses: prev (default), last-known or genie; "
+            "eta_analytic is always the previous-slot chain"),
+    _Option("xor-convention", _one_of(XorConvention), False,
+            "xor delivery bookkeeping: table2 (default) or physical"),
+    _Option("engines", _one_of(("analytic", "simulate", "both")), False,
+            "analytic, simulate or both (default: the subcommand)"),
+)
+_OPTION_BY_KEY = {opt.key: opt for opt in _OPTIONS}
+
+
+def _add_flags(sub: argparse.ArgumentParser, options=_OPTIONS) -> None:
+    for opt in options:
+        sub.add_argument(f"--{opt.key}", help=opt.help,
+                         action="append" if opt.key == "strategy" else "store")
+
+
+def _value(parser: argparse.ArgumentParser, where: str, opt: _Option, texts: list[str]):
+    """The option's value read from its texts: a list if the option is listed."""
+    try:
+        values = [opt.read(text) for text in texts]
+    except ValueError as exc:
+        parser.error(f"{where}: {exc}")
+    return values if opt.listed else values[0]
 
 
 def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
     """Typed values of a file of `key = value` lines (# starts a comment).
 
-    A malformed line, an unknown key or an unreadable file is a usage error.
+    A malformed line or value, an unknown key or an unreadable file is a
+    usage error.
     """
     values: dict = {}
     try:
@@ -209,52 +241,51 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
         key, eq, text = (part.strip() for part in line.partition("="))
         if not eq:
             parser.error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTION_BY_KEY:
             parser.error(f"{path}:{lineno}: unknown config key {key!r} "
-                         f"(valid: {', '.join(_CONFIG_KEYS)})")
-        values[key] = _CONFIG_KEYS[key](text)
+                         f"(valid: {', '.join(_OPTION_BY_KEY)})")
+        opt = _OPTION_BY_KEY[key]
+        texts = [p.strip() for p in text.split(",") if p.strip()] if opt.listed else [text]
+        values[key] = _value(parser, f"{path}:{lineno}: {key}", opt, texts)
     return values
 
 
-def _sweep_values(start: float, stop: float, step: float) -> list[float]:
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [round(start + k * step, 10) for k in range(n)]
+def _merged_values(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, path: str | None
+) -> dict:
+    """Values of the config file at path, overridden by explicitly given flags."""
+    flags = {}
+    for opt in _OPTIONS:
+        given = getattr(args, opt.key.replace("-", "_"), None)
+        if given is not None:
+            texts = given if isinstance(given, list) else [given]
+            flags[opt.key] = _value(parser, f"--{opt.key}", opt, texts)
+    values = _read_config(parser, path) if path else {}
+    for fixed in _FIXED_BY.values():
+        if not flags.keys().isdisjoint(fixed):
+            for key in fixed:
+                values.pop(key, None)
+    return {**values, **flags}
 
 
 def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
-    """Validate merged flag/config values and assemble the sweep."""
+    """Validate merged flag/config values and assemble the sweep's rows."""
     fail = parser.error
-    raw_strategies = values.get("strategy")
-    if not raw_strategies:
+    strategies = list(dict.fromkeys(values.get("strategy") or ()))
+    if not strategies:
         fail("at least one --strategy is required")
-    strategies = []
-    for name in raw_strategies:
-        if name not in _STRATEGY_BY_FLAG:
-            fail(f"--strategy: unknown strategy {name!r} (valid: {', '.join(_STRATEGY_BY_FLAG)})")
-        strat = _STRATEGY_BY_FLAG[name]
-        if strat not in strategies:
-            strategies.append(strat)
 
-    engines = values.get("engines")
-    if engines not in ("analytic", "simulate", "both"):
-        fail(f"--engines must be analytic, simulate or both, got {engines!r}")
-
-    rho_values = values.get("rho")
     fm_tp = values.get("fm-tp")
+    if fm_tp is not None and "rho" in values:
+        fail("--fm-tp conflicts with --rho; give one of them")
+    rho_values = values.get("rho", [0.0])
     if fm_tp is not None:
-        if rho_values is not None:
-            fail("--fm-tp conflicts with --rho; give one of them")
         rho_values = [_j0(2.0 * math.pi * f) for f in fm_tp]
-    if rho_values is None:
-        rho_values = [0.0]
     for rho in rho_values:
         if not 0.0 <= rho < 1.0:
             flag = "--fm-tp (via J0)" if fm_tp is not None else "--rho"
             fail(f"{flag} must give correlation in [0, 1), got {rho}")
-
-    ratio_values = values.get("fr-over-fs-db")
-    if ratio_values is None:
-        ratio_values = [10.0]
+    ratio_values = values.get("fr-over-fs-db", [10.0])
 
     pss = values.get("pss")
     fs_db = values.get("fs-db")
@@ -264,44 +295,17 @@ def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
         fail(f"--pss must be in (0, 1), got {pss}")
     direct_axis, direct = ("pss", [pss]) if pss is not None else ("fs-db", [fs_db])
 
-    axis = None
-    sweep = values.get("sweep")
-    if sweep is not None:
-        parts = sweep.split(":")
-        if len(parts) != 4 or parts[0] not in _AXES:
-            fail(
-                f"--sweep must look like axis:start:stop:step with axis in "
-                f"{{{', '.join(_AXES)}}}, got {sweep!r}"
-            )
-        axis = parts[0]
-        try:
-            start, stop, step = (float(p) for p in parts[1:])
-        except ValueError:
-            fail(f"--sweep: start/stop/step must be numbers, got {sweep!r}")
-        if step <= 0 or stop < start:
-            fail("--sweep needs step > 0 and stop >= start")
-        swept = _sweep_values(start, stop, step)
-        lo, hi = swept[0], swept[-1]
-        if axis == "pss" and not (0.0 < lo and hi < 1.0):
-            fail("--sweep: pss values must stay inside (0, 1)")
-        if axis == "rho" and not (0.0 <= lo and hi < 1.0):
-            fail("--sweep: rho values must stay inside [0, 1)")
-        if axis in ("pss", "fs-db") and (pss is not None or fs_db is not None):
-            fail(f"--sweep over {axis} conflicts with --pss/--fs-db")
-        if axis == "rho" and values.get("rho") is not None:
-            fail("--sweep over rho conflicts with --rho")
-        if axis == "rho" and fm_tp is not None:
-            fail("--sweep over rho conflicts with --fm-tp")
-        if axis == "fr-over-fs-db" and values.get("fr-over-fs-db") is not None:
-            fail("--sweep over fr-over-fs-db conflicts with --fr-over-fs-db")
-        if axis == "rho":
-            rho_values = swept
-        elif axis == "fr-over-fs-db":
-            ratio_values = swept
-        else:
-            direct_axis, direct = axis, swept
-
-    if axis not in ("pss", "fs-db") and pss is None and fs_db is None:
+    axis, swept = values.get("sweep", (None, None))
+    for key in _FIXED_BY.get(axis, ()):
+        if key in values:
+            fail(f"--sweep over {axis} conflicts with --{key}")
+    if axis == "rho":
+        rho_values = swept
+    elif axis == "fr-over-fs-db":
+        ratio_values = swept
+    elif axis is not None:
+        direct_axis, direct = axis, swept
+    if direct == [None]:  # neither given nor swept
         fail("one of --pss or --fs-db is required (or sweep that axis)")
 
     n_slots = values.get("n-slots", 1_000_000)
@@ -310,75 +314,24 @@ def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
     seed = values.get("seed", 12345)
     if seed < 0:
         fail(f"--seed must be >= 0, got {seed}")
-
-    csi_names = values.get("csi-mode") or ["prev"]
-    csi_modes = []
-    for name in csi_names:
-        if name not in _CSI_BY_FLAG:
-            fail(f"--csi-mode must be one of {', '.join(_CSI_BY_FLAG)}, got {name!r}")
-        csi_modes.append(_CSI_BY_FLAG[name])
-
-    convention_name = values.get("xor-convention", "table2")
-    if convention_name not in _CONVENTION_BY_FLAG:
-        fail(f"--xor-convention must be table2 or physical, got {convention_name!r}")
+    csi_modes = values.get("csi-mode") or [CsiMode.PREV_SLOT]
 
     if direct_axis == "pss":
-        direct_values = [(p, linear_to_db(fading_margin_from_outage(p))) for p in direct]
+        direct = [(p, linear_to_db(fading_margin_from_outage(p))) for p in direct]
     else:
-        direct_values = [(outage_probability(db_to_linear(f)), f) for f in direct]
+        direct = [(outage_probability(db_to_linear(f)), f) for f in direct]
+    points = []
+    for strategy in strategies:
+        for mode in csi_modes if strategy.reads_csi else [CsiMode.PREV_SLOT]:
+            label = strategy.value
+            if strategy.reads_csi and len(csi_modes) > 1:
+                label = f"{strategy.value}:{mode.value}"
+            for rho, ratio, (p_ss, f_db) in itertools.product(rho_values, ratio_values, direct):
+                psr = outage_probability(db_to_linear(f_db) * db_to_linear(ratio))
+                points.append(SweepPoint(strategy, mode, label, rho, f_db, f_db + ratio, p_ss, psr))
 
-    return SweepSpec(
-        strategies=strategies,
-        engines=engines,
-        rho_values=rho_values,
-        ratio_values=ratio_values,
-        direct_values=direct_values,
-        csi_modes=csi_modes,
-        n_slots=n_slots,
-        seed=seed,
-        convention=_CONVENTION_BY_FLAG[convention_name],
-    )
-
-
-def _merged_values(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, path: str | None
-) -> dict:
-    """Values of the config file at path, overridden by explicitly given flags."""
-    values = _read_config(parser, path) if path else {}
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is None:
-            continue
-        values[key] = [flag] if key in _LIST_KEYS else flag
-        if key in ("pss", "fs-db"):  # a direct-link flag replaces the file's other one
-            values.pop("fs-db" if key == "pss" else "pss", None)
-    return values
-
-
-def _add_sweep_flags(sub: argparse.ArgumentParser, default_engines: str) -> None:
-    sub.add_argument("--strategy", action="append", metavar="NAME",
-                     help=f"strategy, repeatable ({', '.join(_STRATEGY_BY_FLAG)})")
-    direct = sub.add_mutually_exclusive_group()
-    direct.add_argument("--pss", type=float, help="direct-link outage probability in (0, 1)")
-    direct.add_argument("--fs-db", type=float, help="direct-link fading margin in dB")
-    sub.add_argument("--fr-over-fs-db", type=float,
-                     help="relay margin over direct margin in dB (default 10)")
-    sub.add_argument("--rho", type=float, help="slot-to-slot channel correlation in [0, 1)")
-    sub.add_argument("--fm-tp", type=float,
-                     help="Doppler-packet product; correlation taken as J0(2*pi*fm*Tp)")
-    sub.add_argument("--sweep", metavar="AXIS:START:STOP:STEP",
-                     help=f"swept axis, one of {', '.join(_AXES)}")
-    sub.add_argument("--n-slots", type=int, help="simulated slots per point (default 1000000)")
-    sub.add_argument("--seed", type=int, help="simulation seed (default 12345)")
-    sub.add_argument("--csi-mode", choices=sorted(_CSI_BY_FLAG),
-                     help="CR feedback view the simulator uses (default prev); "
-                          "eta_analytic is always the previous-slot chain")
-    sub.add_argument("--xor-convention", choices=sorted(_CONVENTION_BY_FLAG),
-                     help="xor delivery bookkeeping (default table2)")
-    sub.add_argument("--engines", choices=("analytic", "simulate", "both"))
-    sub.add_argument("--config", metavar="FILE", help="key=value file mirroring the flags")
-    sub.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
-    sub.set_defaults(default_engines=default_engines)
+    return SweepSpec(points, values["engines"], n_slots, seed,
+                     values.get("xor-convention", XorConvention.SAME_INDEX))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -387,16 +340,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-way relay ARQ throughput: exact chain analysis and Monte Carlo sweeps.",
     )
     subs = parser.add_subparsers(dest="cmd", required=True)
-
-    ana = subs.add_parser("analytic", help="steady-state chain solve")
-    _add_sweep_flags(ana, "analytic")
-    sim = subs.add_parser("simulate", help="seeded Monte Carlo")
-    _add_sweep_flags(sim, "simulate")
+    for cmd, help_text in (("analytic", "steady-state chain solve"),
+                           ("simulate", "seeded Monte Carlo")):
+        sub = subs.add_parser(cmd, help=help_text)
+        _add_flags(sub)
+        sub.add_argument("--config", metavar="FILE", help="key=value file mirroring the flags")
+        sub.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
 
     fig = subs.add_parser("figure", help="canned sweep with packaged settings")
     fig.add_argument("name", help=f"one of {', '.join(_FIGURES)}")
-    fig.add_argument("--n-slots", type=int, help="override packaged slot count")
-    fig.add_argument("--seed", type=int, help="override packaged seed")
+    _add_flags(fig, (_OPTION_BY_KEY["n-slots"], _OPTION_BY_KEY["seed"]))
     fig.add_argument("--out", metavar="FILE")
 
     subs.add_parser("selftest", help="quick built-in verification")
@@ -419,57 +372,24 @@ def _figure_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> S
 
 
 def _selftest() -> int:
-    from .analysis import enumerate_substates, steady_state, transition_matrix
-    from .channel import ge_transitions, stationary_link
+    """The installed engines end to end: the renewal solve against the dense
+    one, the analytic engine against simulation, and the perfect channel.
+    The checks of the channel, the chain sizes and the solve's residual are
+    unit tests of the test suite."""
+    from .analysis import enumerate_substates, steady_state, throughput, transition_matrix
 
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {detail}")
-
-    worst = 0.0
-    for k in range(1, 20):
-        p = k * 0.05
-        ge = ge_transitions(p, 0.0)
-        worst = max(worst, abs(ge.p_gb - p), abs(ge.p_bg - (1.0 - p)))
-        for rho in (0.0, 0.5, 0.9, 0.99):
-            pi_bad, _ = stationary_link(ge_transitions(p, rho))
-            worst = max(worst, abs(pi_bad - p))
-    report("channel-degeneracy", worst < 1e-9, f"worst deviation {worst:.2e}")
-
-    sizes = {s: len(enumerate_substates(s)) for s in Strategy if s.cooperative}
-    expected = {
-        Strategy.RR: 136, Strategy.RR_NC: 136, Strategy.AR: 232,
-        Strategy.AR_NC: 232, Strategy.CR: 184, Strategy.CR_NC: 176,
-    }
-    report("substate-counts", sizes == expected, f"{sizes}")
-
+    checks = {}  # name -> (passed, detail)
     model = JointChannelModel.symmetric(0.5, outage_probability(
         fading_margin_from_outage(0.5) * 10.0), 0.9)
-    worst_res, worst_flow, worst_gap = 0.0, 0.0, 0.0
+    worst_gap = 0.0
     for strat in (Strategy.RR_NC, Strategy.CR):
         space = enumerate_substates(strat)
-        mat = transition_matrix(space, model)
-        st = steady_state(mat)
-        worst_res = max(worst_res, st.residual)
-        t0 = st.pi[space.t0_slice].sum()
-        t1 = st.pi[space.t1_slice].sum()
-        worst_flow = max(worst_flow, abs(t0 - t1))
-        worst_gap = max(worst_gap, abs(analytic_throughput(strat, model) - 2.0 * t0))
-    report("steady-state-quality", worst_res <= 1e-10 and worst_flow <= 1e-10,
-           f"residual {worst_res:.2e}, |pi_T0-pi_T1| {worst_flow:.2e}")
-    report("renewal-vs-dense", worst_gap <= 1e-11, f"|eta renewal - eta dense| {worst_gap:.2e}")
+        dense = throughput(space, steady_state(transition_matrix(space, model)))
+        worst_gap = max(worst_gap, abs(analytic_throughput(strat, model) - dense))
+    checks["renewal-vs-dense"] = (worst_gap <= 1e-11,
+                                  f"|eta renewal - eta dense| {worst_gap:.2e}")
 
-    ok_sw = all(sw_arq_throughput(p) == 1.0 - p for p in (0.0, 0.25, 0.5, 0.9))
-    report("sw-baseline", ok_sw)
-
-    ok_cross = True
-    detail = ""
+    misses = []
     for strat, pss, ratio, rho in (
         (Strategy.RR_NC, 0.5, 10.0, 0.9),
         (Strategy.CR_NC, 0.3, 10.0, 0.9),
@@ -479,38 +399,36 @@ def _selftest() -> int:
             pss, outage_probability(fading_margin_from_outage(pss) * db_to_linear(ratio)), rho)
         eta = analytic_throughput(strat, m)
         stats = run(SimConfig(strategy=strat, model=m, n_slots=200_000, seed=2024))
-        gap = abs(eta - stats.throughput_estimate)
-        if gap > 4.0 * stats.std_error:
-            ok_cross = False
-            detail = f"{strat.value}: |{eta:.5f}-{stats.throughput_estimate:.5f}| > 4se"
-    report("cross-engine", ok_cross, detail)
+        if abs(eta - stats.throughput_estimate) > 4.0 * stats.std_error:
+            misses.append(f"{strat.value}: |{eta:.5f}-{stats.throughput_estimate:.5f}| > 4se")
+    checks["cross-engine"] = (not misses, "; ".join(misses))
 
     perfect = JointChannelModel.from_outage(0.0, 0.0, 0.0, 0.0)
     eta_perfect = analytic_throughput(Strategy.RR_NC, perfect)
     stats = run(SimConfig(strategy=Strategy.RR_NC, model=perfect, n_slots=10_000, seed=7))
-    report(
-        "perfect-limit",
+    checks["perfect-limit"] = (
         eta_perfect == 1.0 and stats.throughput_estimate == 1.0 and stats.std_error == 0.0,
         f"analytic {eta_perfect}, sim {stats.throughput_estimate}, se {stats.std_error}",
     )
 
-    return 0 if failures == 0 else 3
+    for name, (ok, detail) in checks.items():
+        print(f"PASS {name}" if ok else f"FAIL {name}: {detail}")
+    return 0 if all(ok for ok, _ in checks.values()) else 3
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cmd in ("analytic", "simulate"):
-            values = _merged_values(parser, args, args.config)
-            values.setdefault("engines", args.default_engines)
-            spec = _build_spec(parser, values)
-            _emit(execute(spec), args.out)
-        elif args.cmd == "figure":
-            spec = _figure_spec(parser, args)
-            _emit(execute(spec), args.out)
-        elif args.cmd == "selftest":
+        if args.cmd == "selftest":
             return _selftest()
+        if args.cmd == "figure":
+            spec = _figure_spec(parser, args)
+        else:
+            values = _merged_values(parser, args, args.config)
+            values.setdefault("engines", args.cmd)
+            spec = _build_spec(parser, values)
+        _emit(execute(spec), args.out)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

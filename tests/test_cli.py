@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from twarq.cli import CSV_HEADER, _j0, main
+from twarq.cli import _OPTIONS, CSV_HEADER, _j0, main
 
 HEADER = "strategy,rho,fs_db,fr_db,pss,psr,eta_analytic,eta_sim,sim_stderr,n_slots,seed"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # usage errors
+        code = exc.code
     out = capsys.readouterr().out
     return code, out
 
@@ -207,12 +210,89 @@ def test_config_file_missing_is_usage_error(tmp_path):
         ["simulate", "--strategy", "rr", "--pss", "0.5", "--n-slots", "0"],
         ["simulate", "--strategy", "rr", "--pss", "0.5", "--seed", "-3"],
         ["figure", "nope"],
+        ["analytic", "--strategy", "rr-nc", "--fs-db", "4000"],
+        ["analytic", "--strategy", "rr-nc", "--pss", "0.3", "--fr-over-fs-db", "4000"],
+        ["analytic", "--strategy", "rr-nc", "--sweep", "fs-db:3000:4000:500"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_db_overflow_names_the_value(capsys):
+    """10^(x/10) overflows a float above about 3,082 dB."""
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--strategy", "rr-nc", "--pss", "0.3", "--fr-over-fs-db", "4000"])
+    assert exc.value.code == 2
+    assert "4000.0 dB is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,flag", [
+    ("rho = 0.9", ["--fm-tp", "0.1"]),
+    ("fm-tp = 0.1", ["--rho", "0.5"]),
+])
+def test_correlation_flag_replaces_the_files_pair(tmp_path, capsys, line, flag):
+    """A flag for rho or fm-tp replaces the file's value of both keys, as a
+    flag for pss or fs-db does; the two flags together stay a usage error."""
+    cfg = tmp_path / "corr.cfg"
+    cfg.write_text(f"strategy = rr-nc\npss = 0.3\n{line}\n")
+    code, out = run_cli(capsys, "analytic", "--config", str(cfg), *flag)
+    assert code == 0
+    assert out == run_cli(capsys, "analytic", "--strategy", "rr-nc", "--pss", "0.3", *flag)[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--config", str(cfg), "--rho", "0.5", "--fm-tp", "0.1"])
+    assert exc.value.code == 2
+
+
+# A value for every option of the table, then a comma list for the options a
+# config file may list.  Each is tried on BASE_FLAGS, less the flags it
+# replaces (CLEARS).
+OPTION_VALUES = {
+    "strategy": ("rr-nc", "rr, cr-nc"),
+    "pss": ("0.25", None),
+    "fs-db": ("2.5", None),
+    "fr-over-fs-db": ("3", "0, 3"),
+    "rho": ("0.5", "0, 0.5"),
+    "fm-tp": ("0.1", "0.05, 0.1"),
+    "sweep": ("pss:0.2:0.4:0.1", None),
+    "n-slots": ("3000", None),
+    "seed": ("9", None),
+    "csi-mode": ("genie", "genie, prev"),
+    "xor-convention": ("physical", None),
+    "engines": ("analytic", None),
+}
+BASE_FLAGS = {"strategy": "cr-nc", "pss": "0.3", "rho": "0.9", "n-slots": "2000",
+              "engines": "both"}
+CLEARS = {"fs-db": ("pss",), "sweep": ("pss",), "fm-tp": ("rho",)}
+
+
+@pytest.mark.parametrize("opt", _OPTIONS, ids=lambda opt: opt.key)
+def test_option_reads_the_same_as_flag_and_config_line(opt, tmp_path, capsys):
+    key = opt.key
+    value, listed = OPTION_VALUES[key]
+    assert opt.listed == (listed is not None)
+    cleared = (key, *CLEARS.get(key, ()))
+    base = ["simulate"] + [
+        f for k, v in BASE_FLAGS.items() if k not in cleared for f in (f"--{k}", v)]
+    cfg = tmp_path / "option.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    by_flag = run_cli(capsys, *base, f"--{key}", value)
+    assert by_flag[0] == 0
+    assert run_cli(capsys, *base, "--config", str(cfg)) == by_flag
+    assert run_cli(capsys, *base)[1] != by_flag[1]  # the option took effect
+    if listed is None:
+        return
+    cfg.write_text(f"{key} = {listed}\n")
+    code, out = run_cli(capsys, *base, "--config", str(cfg))
+    assert code == 0
+    singles = []
+    for item in listed.split(","):
+        singles += run_cli(capsys, *base, f"--{key}", item.strip())[1].splitlines()[1:]
+    # one row per listed value, in order; csi-mode rows carry the view in the label
+    assert [row.split(",", 1)[1] for row in out.splitlines()[1:]] == [
+        row.split(",", 1)[1] for row in singles]
 
 
 @pytest.mark.parametrize("flag", ["--rho", "--fm-tp"])
@@ -309,7 +389,7 @@ def test_all_packaged_figures_parse():
     for name, n_rows in expected_rows.items():
         args = argparse.Namespace(name=name, n_slots=None, seed=None)
         spec = _figure_spec(parser, args)
-        assert len(spec.points()) == n_rows, name
+        assert len(spec.points) == n_rows, name
         assert spec.n_slots == 1_000_000 and spec.seed == 12345
 
 
@@ -317,5 +397,4 @@ def test_selftest_passes(capsys):
     code = main(["selftest"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 6
+    assert out.splitlines() == ["PASS renewal-vs-dense", "PASS cross-engine", "PASS perfect-limit"]
