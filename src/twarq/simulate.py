@@ -5,7 +5,7 @@ per link, spawned from the seed) whatever the strategy, xor convention or
 CSI view, so `run_many` draws it once per (model, horizon, seed) group, in
 fixed blocks, and walks every protocol state machine of the group over each
 block from where the previous block left it.  Memory is O(block) per
-machine plus one record per completed round, whatever the horizon.
+machine plus its round record, one bit per slot, whatever the horizon.
 
 A machine is protocol.kernel, the (state, channel) table the analytic chain
 is built from, for the run's CSI view, composed with itself into a table
@@ -18,7 +18,8 @@ left-to-right stitch keeps the result exact.
 Throughput is delivered packets over slots.  The standard error is a ratio
 estimator over batches of whole rounds (regenerative statistics), which
 stays honest under the strong within-round (and, at high correlation,
-cross-round) dependence.
+cross-round) dependence.  It needs only the slots that end each batch,
+which are read from the round record by rank.
 """
 
 from __future__ import annotations
@@ -82,6 +83,26 @@ _LOOKBACK = 256
 _STITCH_WINDOW = 64
 # Round-aligned batches of the regenerative standard error.
 _N_BATCHES = 100
+# Bytes of a round record per round count: one block of slots.
+_SEGMENT = _BLOCK // 8
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
+class _Record(NamedTuple):
+    """Where one FSM's rounds complete: bit t of `bits` (little-endian
+    within each byte) is set when a round completes in slot t, and
+    counts[i] is the number of rounds completed in bytes
+    i*_SEGMENT .. (i+1)*_SEGMENT - 1."""
+
+    bits: np.ndarray
+    counts: np.ndarray
+
+
+def _record(bits: np.ndarray) -> _Record:
+    """The record of a packed completion bitmap, counted segment by segment."""
+    counts = [int(_POPCOUNT.take(bits[lo : lo + _SEGMENT]).sum())
+              for lo in range(0, bits.shape[0], _SEGMENT)]
+    return _Record(bits, np.array(counts, dtype=np.int64))
 
 
 class _Machine(NamedTuple):
@@ -119,34 +140,44 @@ def _fsm(strategy: Strategy, convention: XorConvention, mode: CsiMode) -> _Machi
     return tables
 
 
-def _walk(blocks: Iterable[np.ndarray], fsms: Sequence[_Machine]) -> list[np.ndarray]:
-    """Slots at which rounds complete, one array per FSM, over the
-    concatenated channel blocks.  All FSMs walk each block together, each
-    from the state it ended the previous block in, on one table: theirs
-    stacked, each shifted by the states of those before it."""
+def _walk(blocks: Iterable[np.ndarray], fsms: Sequence[_Machine],
+          n_slots: int) -> list[_Record]:
+    """The round record of each FSM over the concatenated channel blocks,
+    n_slots in all.  All FSMs walk each block together, each from the state
+    it ended the previous block in, on one table: theirs stacked, each
+    shifted by the states of those before it.  Each block's packed flags
+    are written into the records in place; a block that starts mid-byte,
+    after one whose length is not a multiple of 8, is shifted into them."""
     base = np.cumsum([0] + [fsm.nxt.shape[0] // 8 for fsm in fsms[:-1]])
     nxt = np.concatenate([fsm.nxt + 8 * b for fsm, b in zip(fsms, base)])
     nxt2 = np.concatenate([fsm.nxt2 + 64 * b for fsm, b in zip(fsms, base)])
     done2 = np.concatenate([fsm.done2 for fsm in fsms])
     start = 64 * np.stack([fsm.start + b for fsm, b in zip(fsms, base)])
     nxt2_list = nxt2.tolist()  # the stitch steps one pair of slots at a time
-    found = [[] for _ in fsms]
+    bits = np.zeros((len(fsms), -(-n_slots // 8)), dtype=np.uint8)
     offset = 0
     state = start[:, 7]
     for path in blocks:
-        hits, state = _walk_block(path, state, nxt, nxt2, nxt2_list, done2, start)
-        for acc, h in zip(found, hits):
-            h += offset
-            acc.append(h)
+        packed, state = _walk_block(path, state, nxt, nxt2, nxt2_list, done2, start)
+        b, r = divmod(offset, 8)
+        low = bits[:, b : b + packed.shape[1]]
+        if r:
+            low |= packed << r
+            # the last byte's spill holds only padding past n_slots
+            high = bits[:, b + 1 : b + 1 + packed.shape[1]]
+            high |= (packed >> (8 - r))[:, : high.shape[1]]
+        else:
+            low[...] = packed
         offset += path.shape[0]
-    return [np.concatenate(acc) for acc in found]
+    return [_record(row) for row in bits]
 
 
 def _walk_block(path: np.ndarray, state: np.ndarray, nxt: np.ndarray, nxt2: np.ndarray,
                 nxt2_list: list, done2: np.ndarray,
-                start: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+                start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk one block as chunks, every FSM at once, two slots a step;
-    returns (completion slots within the block per FSM, end states).
+    returns (completion flags, end states), the flags of FSM f packed
+    little-endian into row f, one bit per slot of the block.
 
     A step reads the channels of a pair of slots as one index c1*8 + c2
     into the two-slot tables of `_fsm`, whose flag marks a completion in
@@ -218,8 +249,8 @@ def _walk_block(path: np.ndarray, state: np.ndarray, nxt: np.ndarray, nxt2: np.n
     last = idx[tail - 1, :, k - 1]
     end = 8 * nxt[last >> 3] if n % 2 else nxt2[last]
     flags = done2.take(idx).transpose(1, 2, 0).reshape(idx.shape[1], -1)
-    # every byte of a flag is 0 or 1, so the bytes read as bools
-    return [np.flatnonzero(h) for h in flags.view(np.bool_)[:, :n]], end
+    # every byte of a flag is 0 or 1, one byte per slot
+    return np.packbits(flags.view(np.uint8)[:, :n], axis=1, bitorder="little"), end
 
 
 def _channel_blocks(
@@ -251,23 +282,53 @@ def _channel_path(model: JointChannelModel, n_slots: int, seed: int) -> np.ndarr
     return np.concatenate(list(_channel_blocks(model, n_slots, seed)))
 
 
-def _regenerative_stderr(done: np.ndarray) -> float:
-    """Ratio-estimator standard error over round-aligned batches, from the
-    completion slots.  The batches split the rounds as np.array_split does;
-    a batch's length is the gap between the completion slots that bound it,
-    an integer, so each float is the one a sum over its round lengths gives."""
-    n_rounds = done.shape[0]
+def _slots_by_rank(record: _Record, ranks: np.ndarray) -> np.ndarray:
+    """The slot in which round r completes (rounds counted from 0), for each
+    r of the ascending ranks, all below the record's round count.
+
+    The segment counts give the segment, a cumulative popcount over that
+    segment's bytes the byte, and the byte's unpacked bits the slot."""
+    ends = np.cumsum(record.counts)
+    segment = np.searchsorted(ends, ranks, side="right")
+    slots = np.empty(ranks.shape[0], dtype=np.int64)
+    for s in np.unique(segment).tolist():
+        at = segment == s
+        lo = s * _SEGMENT
+        seg_bits = record.bits[lo : lo + _SEGMENT]
+        by_byte = np.cumsum(_POPCOUNT.take(seg_bits), dtype=np.intp)
+        rank = ranks[at] - (ends[s] - record.counts[s])
+        byte = np.searchsorted(by_byte, rank, side="right")
+        rank -= by_byte[byte] - _POPCOUNT.take(seg_bits[byte])  # rank within the byte
+        unpacked = np.unpackbits(seg_bits[byte, None], axis=1, bitorder="little")
+        bit = (np.cumsum(unpacked, axis=1) > rank[:, None]).argmax(axis=1)
+        slots[at] = 8 * (lo + byte) + bit
+    return slots
+
+
+def _round_stats(record: _Record) -> tuple[int, float, float]:
+    """(rounds completed, regenerative standard error, mean round length).
+
+    The standard error is the ratio estimator over round-aligned batches,
+    which split the rounds as np.array_split does.  A batch's length is the
+    gap between the completion slots that bound it, an integer, so each
+    float is the one a sum over its round lengths gives."""
+    n_rounds = int(record.counts.sum())
+    if not n_rounds:
+        return 0, float("nan"), float("nan")
     n_b = min(_N_BATCHES, n_rounds)
-    if n_b < 2:
-        return float("nan")
     rounds = np.full(n_b, n_rounds // n_b)
     rounds[: n_rounds % n_b] += 1
-    batch_len = np.diff(done[np.cumsum(rounds) - 1], prepend=-1).astype(np.float64)
+    ends = _slots_by_rank(record, np.cumsum(rounds) - 1)
+    # the rounds fill slots 0..ends[-1]
+    mean_round_length = (int(ends[-1]) + 1) / n_rounds
+    if n_b < 2:
+        return n_rounds, float("nan"), mean_round_length
+    batch_len = np.diff(ends, prepend=-1).astype(np.float64)
     batch_yield = 2.0 * rounds
     eta = batch_yield.sum() / batch_len.sum()
     excess = batch_yield - eta * batch_len
     var = float((excess**2).sum()) / (n_b - 1)
-    return math.sqrt(var / n_b) / float(batch_len.mean())
+    return n_rounds, math.sqrt(var / n_b) / float(batch_len.mean()), mean_round_length
 
 
 def _fsm_key(config: SimConfig) -> tuple[Strategy, XorConvention, CsiMode]:
@@ -286,20 +347,19 @@ def run_many(configs: Iterable[SimConfig]) -> list[SimStats]:
     out: list[SimStats] = [None] * len(configs)
     for (model, n_slots, seed), members in groups.items():
         keys = list(dict.fromkeys(_fsm_key(configs[i]) for i in members))
-        walked = _walk(_channel_blocks(model, n_slots, seed), [_fsm(*key) for key in keys])
-        completions = dict(zip(keys, walked))
+        records = _walk(_channel_blocks(model, n_slots, seed),
+                        [_fsm(*key) for key in keys], n_slots)
+        stats = {key: _round_stats(record) for key, record in zip(keys, records)}
         for i in members:
-            done = completions[_fsm_key(configs[i])]
-            n_rounds = done.shape[0]
+            n_rounds, std_error, mean_round_length = stats[_fsm_key(configs[i])]
             out[i] = SimStats(
                 config=configs[i],
                 slots_run=n_slots,
                 rounds_completed=n_rounds,
                 delivered_packets=2 * n_rounds,
                 throughput_estimate=2.0 * n_rounds / n_slots,
-                std_error=_regenerative_stderr(done),
-                # the rounds fill slots 0..done[-1]
-                mean_round_length=(int(done[-1]) + 1) / n_rounds if n_rounds else float("nan"),
+                std_error=std_error,
+                mean_round_length=mean_round_length,
             )
     return out
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import j0
@@ -145,6 +146,37 @@ def test_j0_matches_scipy():
     assert max(abs(_j0(float(x)) - j0(x)) for x in xs) <= 4e-15
 
 
+def test_j0_asymptotic_matches_mpmath():
+    """From 200 on, J0 comes from Hankel's expansion.  scipy.special.j0
+    rounds x - pi/4 there, and is off by up to 3.8e-14 on this grid, so the
+    reference is mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        worst = max(abs(_j0(float(x)) - float(mpmath.besselj(0, mpmath.mpf(float(x)))))
+                    for x in np.geomspace(200.0, 1e6, 401))
+    assert worst <= 4e-15
+
+
+def test_fm_tp_far_past_the_trapezoid_range(capsys):
+    """A large fm*Tp costs what a small one does: no node per unit of x."""
+    code, out = run_cli(capsys, "analytic", "--strategy", "rr-nc", "--pss", "0.3",
+                        "--fm-tp", "1e300")
+    assert code == 0
+    (row,) = rows_of(out)
+    assert float(row["rho"]) == pytest.approx(_j0(2.0 * math.pi * 1e300), rel=1e-11)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--fm-tp", "inf"),
+    ("--fm-tp", "nan"),
+    ("--sweep", "fs-db:0:1:inf"),
+])
+def test_non_finite_value_names_its_flag(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--strategy", "rr-nc", "--pss", "0.3", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"{flag}: must be finite" in capsys.readouterr().err
+
+
 def test_runs_without_scipy():
     """The runtime needs numpy only: with scipy made unimportable, the
     converter and both engines still run."""
@@ -213,6 +245,9 @@ def test_config_file_missing_is_usage_error(tmp_path):
         ["analytic", "--strategy", "rr-nc", "--fs-db", "4000"],
         ["analytic", "--strategy", "rr-nc", "--pss", "0.3", "--fr-over-fs-db", "4000"],
         ["analytic", "--strategy", "rr-nc", "--sweep", "fs-db:3000:4000:500"],
+        ["analytic", "--strategy", "rr-nc", "--pss", "0.3", "--sweep", "fr-over-fs-db:0:inf:1"],
+        ["analytic", "--strategy", "rr-nc", "--sweep=fs-db:-inf:0:1"],
+        ["analytic", "--strategy", "rr-nc", "--sweep=fs-db:0:1:inf"],
     ],
 )
 def test_usage_errors_exit_2(argv):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twarq.analysis import analytic_throughput
 from twarq.channel import (
@@ -21,6 +23,9 @@ from twarq.simulate import (
     SimConfig,
     _channel_path,
     _fsm,
+    _record,
+    _round_stats,
+    _slots_by_rank,
     _walk,
     run,
     run_csi_comparison,
@@ -170,8 +175,14 @@ def walk_path():
     return _channel_path(model_for(0.5, 10.0, 0.99), max(WALK_HORIZONS), seed=21)
 
 
+def _walk_slots(blocks, fsms, n_slots):
+    """Slots at which each FSM completes a round, read from its round record."""
+    return [np.flatnonzero(np.unpackbits(record.bits, count=n_slots, bitorder="little"))
+            for record in _walk(blocks, fsms, n_slots)]
+
+
 def _walk_in_blocks(path, fsm):
-    return _walk((path[lo : lo + _BLOCK] for lo in range(0, path.shape[0], _BLOCK)), [fsm])[0]
+    return _walk_group_in_blocks(path, [fsm])[0]
 
 
 @pytest.mark.parametrize("strategy,convention,mode", WALK_CASES,
@@ -226,13 +237,14 @@ def test_walk_carries_state_out_of_odd_blocks(walk_path):
     bounds = np.cumsum((0,) + sizes)
     path = walk_path[: bounds[-1]]
     fsms = [_fsm(*case) for case in WALK_CASES]
-    got = _walk((path[lo:hi] for lo, hi in zip(bounds, bounds[1:])), fsms)
+    got = _walk_slots((path[lo:hi] for lo, hi in zip(bounds, bounds[1:])), fsms, bounds[-1])
     for case, g in zip(WALK_CASES, got):
         assert np.array_equal(g, walk_reference(path, *case)), case
 
 
 def _walk_group_in_blocks(path, fsms):
-    return _walk((path[lo : lo + _BLOCK] for lo in range(0, path.shape[0], _BLOCK)), fsms)
+    blocks = (path[lo : lo + _BLOCK] for lo in range(0, path.shape[0], _BLOCK))
+    return _walk_slots(blocks, fsms, path.shape[0])
 
 
 def test_grouped_walk_matches_sequential_reference(walk_path):
@@ -309,18 +321,33 @@ def test_block_streamed_path_equals_one_shot_draw():
     assert np.array_equal(_channel_path(model, n, seed=8), expected)
 
 
-def test_memory_does_not_grow_with_horizon():
-    """Past the fixed per-block buffers, a run keeps only its per-round record."""
-    cfg = SimConfig(Strategy.CR_NC, model_for(0.4, 10.0, 0.99), 400_000, 12345)
+def _traced_growth_per_slot(cfg, horizons):
+    """Traced peak of the run at the longer horizon less that at the shorter,
+    per slot between them."""
     peaks = []
-    for n_slots in (400_000, 2_000_000):
+    for n_slots in horizons:
         tracemalloc.start()
         try:
             run(replace(cfg, n_slots=n_slots))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / 1_600_000 <= 12.0
+    return (peaks[1] - peaks[0]) / (horizons[1] - horizons[0])
+
+
+def test_memory_does_not_grow_with_horizon():
+    """Past the fixed per-block buffers, a run keeps only its round record,
+    one bit per slot."""
+    cfg = SimConfig(Strategy.CR_NC, model_for(0.4, 10.0, 0.99), 400_000, 12345)
+    assert _traced_growth_per_slot(cfg, (400_000, 2_000_000)) <= 12.0
+
+
+def test_memory_of_a_1e8_slot_run():
+    """A 10^8-slot run outgrows a 4*10^5-slot one by its round record alone:
+    a uint8 holds the flags of 8 slots, 0.125 B/slot, and the bound leaves
+    as much again for the rest."""
+    cfg = SimConfig(Strategy.RR_NC, model_for(0.4, 10.0, 0.99), 400_000, 12345)
+    assert _traced_growth_per_slot(cfg, (400_000, 100_000_000)) <= 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +360,52 @@ def _assert_stats_match_oracle(stats, done):
     assert stats.rounds_completed == done.shape[0]
     assert stats.std_error.hex() == std_error.hex()
     assert stats.mean_round_length.hex() == mean_round_length.hex()
+
+
+# Slots next to byte and block edges of a record.
+RECORD_EDGES = (0, 1, 7, 8, 9, 15, 16, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                2 * _BLOCK - 8, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 8)
+
+
+@st.composite
+def completion_flags(draw):
+    """Dense random flags over up to 300 slots, or a few flags over up to two
+    blocks and a bit, most of them next to a byte or block edge."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.booleans(), min_size=1, max_size=300)))
+    n = draw(st.integers(1, 2 * _BLOCK + 9))
+    near_edge = st.sampled_from([e for e in RECORD_EDGES if e < n])
+    slots = draw(st.lists(near_edge | st.integers(0, n - 1), max_size=40))
+    flags = np.zeros(n, dtype=bool)
+    flags[slots] = True
+    return flags
+
+
+def _one_hot(n, *slots):
+    flags = np.zeros(n, dtype=bool)
+    flags[list(slots)] = True
+    return flags
+
+
+@given(completion_flags())
+@example(_one_hot(13))
+@example(_one_hot(_BLOCK + 3, _BLOCK))
+@example(_one_hot(9, 7, 8))
+@example(_one_hot(2 * _BLOCK + 1, _BLOCK - 1, 2 * _BLOCK))
+@settings(max_examples=150, deadline=None)
+def test_slots_by_rank_match_unpacked_bits(flags):
+    """Each round's slot, found by rank through the segment counts and the
+    popcounts, is the slot of its set bit; the round statistics read from
+    those slots equal the per-round oracle's."""
+    n = flags.shape[0]
+    record = _record(np.packbits(flags, bitorder="little"))
+    done = np.flatnonzero(np.unpackbits(record.bits, count=n, bitorder="little"))
+    assert np.array_equal(done, np.flatnonzero(flags))
+    assert np.array_equal(_slots_by_rank(record, np.arange(done.shape[0])), done)
+    n_rounds, std_error, mean_round_length = _round_stats(record)
+    assert n_rounds == done.shape[0]
+    assert (std_error.hex(), mean_round_length.hex()) == tuple(
+        x.hex() for x in round_stats_from_lengths(done))
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 99, 100, 101])
