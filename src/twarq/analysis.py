@@ -246,17 +246,14 @@ def steady_state(mat: np.ndarray) -> SteadyState:
     return SteadyState(pi=pi, residual=res)
 
 
-def throughput(space: SubStateSpace, steady: SteadyState | np.ndarray) -> float:
+def throughput(space: SubStateSpace, steady: SteadyState) -> float:
     """Packets per slot: twice the stationary probability of the T0 block."""
-    pi = steady.pi if isinstance(steady, SteadyState) else steady
-    return 2.0 * float(pi[space.t0_slice].sum())
+    return 2.0 * float(steady.pi[space.t0_slice].sum())
 
 
-def aggregate_coarse(
-    space: SubStateSpace, steady: SteadyState | np.ndarray
-) -> tuple[float, float, float]:
+def aggregate_coarse(space: SubStateSpace, steady: SteadyState) -> tuple[float, float, float]:
     """Collapse the stationary law onto the coarse (T0, T1, R) phases."""
-    pi = steady.pi if isinstance(steady, SteadyState) else steady
+    pi = steady.pi
     return (
         float(pi[space.t0_slice].sum()),
         float(pi[space.t1_slice].sum()),

@@ -210,10 +210,10 @@ class _Option:
 _OPTIONS = (
     _Option("strategy", _one_of(Strategy), True,
             f"strategy, repeatable ({', '.join(s.value for s in Strategy)})"),
-    _Option("pss", float, False, "direct-link outage probability in (0, 1)"),
-    _Option("fs-db", float, False, "direct-link fading margin in dB"),
-    _Option("fr-over-fs-db", float, True, "relay margin over direct margin in dB (default 10)"),
-    _Option("rho", float, True, "slot-to-slot channel correlation in [0, 1)"),
+    _Option("pss", _finite, False, "direct-link outage probability in (0, 1)"),
+    _Option("fs-db", _finite, False, "direct-link fading margin in dB"),
+    _Option("fr-over-fs-db", _finite, True, "relay margin over direct margin in dB (default 10)"),
+    _Option("rho", _finite, True, "slot-to-slot channel correlation in [0, 1)"),
     _Option("fm-tp", _finite, True,
             "Doppler-packet product; correlation taken as J0(2*pi*fm*Tp)"),
     _Option("sweep", _read_sweep, False,

@@ -108,7 +108,6 @@ def _record(bits: np.ndarray) -> _Record:
 class _Machine(NamedTuple):
     """One kernel as the flat tables the walk indexes (see `_fsm`)."""
 
-    nxt: np.ndarray
     start: np.ndarray
     nxt2: np.ndarray
     done2: np.ndarray
@@ -116,25 +115,25 @@ class _Machine(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _fsm(strategy: Strategy, convention: XorConvention, mode: CsiMode) -> _Machine:
-    """The kernel for the CSI view, stepped one slot and two slots at a time.
+    """The kernel for the CSI view, stepped two slots at a time.
 
-    nxt[s*8 + c] is 8*s' for the next state s', pre-scaled so that one add
-    forms the next index.  Over the index s*64 + c1*8 + c2 of a state and
-    the channels of two slots, nxt2 is 64*s'' for the state after both, and
-    done2 is a little-endian 16-bit flag: bit 0 marks a round completed in
-    the first slot, bit 8 one completed in the second, so that the bytes of
-    a run of flags mark completions slot by slot.  start[c] is the state of
-    node T0 whose view is channel c.  Only LAST_KNOWN keeps a view in the
-    state, and that view alone fixes the CR choice; PREV_SLOT caches the
-    choice in a token instead, and GENIE reads the current channel.  A run
-    starts at start[7]: links never observed count as Good.
+    Over the index s*64 + c1*8 + c2 of a state and the channels of two
+    slots, nxt2 is 64*s'' for the state after both, pre-scaled so that one
+    add forms the next index, and done2 is a little-endian 16-bit flag: bit
+    0 marks a round completed in the first slot, bit 8 one completed in the
+    second, so that the bytes of a run of flags mark completions slot by
+    slot.  start[c] is the state of node T0 whose view is channel c.  Only
+    LAST_KNOWN keeps a view in the state, and that view alone fixes the CR
+    choice; PREV_SLOT caches the choice in a token instead, and GENIE reads
+    the current channel.  A run starts at start[7]: links never observed
+    count as Good.
     """
     nxt, done = kernel(strategy, convention, mode)
-    nxt, done = 8 * nxt.ravel(), done.ravel()
-    mid = nxt[:, None] + np.arange(8)  # the index of the second slot
+    nxt, done = nxt.ravel(), done.ravel()
+    mid = 8 * nxt[:, None] + np.arange(8)  # the index of the second slot
     done2 = done[:, None] | done[mid].astype(np.uint16) << 8
     start = np.arange(8) if mode is CsiMode.LAST_KNOWN else np.zeros(8, dtype=np.intp)
-    tables = _Machine(nxt, start, 8 * nxt[mid].ravel(), done2.ravel().astype("<u2"))
+    tables = _Machine(start, 64 * nxt[mid].ravel(), done2.ravel().astype("<u2"))
     for tab in tables:
         tab.setflags(write=False)
     return tables
@@ -143,47 +142,36 @@ def _fsm(strategy: Strategy, convention: XorConvention, mode: CsiMode) -> _Machi
 def _walk(blocks: Iterable[np.ndarray], fsms: Sequence[_Machine],
           n_slots: int) -> list[_Record]:
     """The round record of each FSM over the concatenated channel blocks,
-    n_slots in all.  All FSMs walk each block together, each from the state
-    it ended the previous block in, on one table: theirs stacked, each
-    shifted by the states of those before it.  Each block's packed flags
-    are written into the records in place; a block that starts mid-byte,
-    after one whose length is not a multiple of 8, is shifted into them."""
-    base = np.cumsum([0] + [fsm.nxt.shape[0] // 8 for fsm in fsms[:-1]])
-    nxt = np.concatenate([fsm.nxt + 8 * b for fsm, b in zip(fsms, base)])
+    n_slots in all, every block _BLOCK slots long but the last, as
+    `_channel_blocks` yields them.  All FSMs walk each block together, each
+    from the state it ended the previous block in, on one table: theirs
+    stacked, each shifted by the states of those before it.  Block i's
+    packed flags are written into the records at byte i*_SEGMENT."""
+    base = np.cumsum([0] + [fsm.nxt2.shape[0] // 64 for fsm in fsms[:-1]])
     nxt2 = np.concatenate([fsm.nxt2 + 64 * b for fsm, b in zip(fsms, base)])
     done2 = np.concatenate([fsm.done2 for fsm in fsms])
     start = 64 * np.stack([fsm.start + b for fsm, b in zip(fsms, base)])
     nxt2_list = nxt2.tolist()  # the stitch steps one pair of slots at a time
     bits = np.zeros((len(fsms), -(-n_slots // 8)), dtype=np.uint8)
-    offset = 0
     state = start[:, 7]
-    for path in blocks:
-        packed, state = _walk_block(path, state, nxt, nxt2, nxt2_list, done2, start)
-        b, r = divmod(offset, 8)
-        low = bits[:, b : b + packed.shape[1]]
-        if r:
-            low |= packed << r
-            # the last byte's spill holds only padding past n_slots
-            high = bits[:, b + 1 : b + 1 + packed.shape[1]]
-            high |= (packed >> (8 - r))[:, : high.shape[1]]
-        else:
-            low[...] = packed
-        offset += path.shape[0]
+    for lo, path in zip(range(0, bits.shape[1], _SEGMENT), blocks):
+        packed, state = _walk_block(path, state, nxt2, nxt2_list, done2, start)
+        bits[:, lo : lo + packed.shape[1]] = packed
     return [_record(row) for row in bits]
 
 
-def _walk_block(path: np.ndarray, state: np.ndarray, nxt: np.ndarray, nxt2: np.ndarray,
-                nxt2_list: list, done2: np.ndarray,
-                start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _walk_block(path: np.ndarray, state: np.ndarray, nxt2: np.ndarray, nxt2_list: list,
+                done2: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk one block as chunks, every FSM at once, two slots a step;
     returns (completion flags, end states), the flags of FSM f packed
     little-endian into row f, one bit per slot of the block.
 
     A step reads the channels of a pair of slots as one index c1*8 + c2
     into the two-slot tables of `_fsm`, whose flag marks a completion in
-    the pair's first slot by bit 0 and in its second by bit 8.  An odd
-    block ends in a pair padded with one all-Bad slot; its end state is
-    read from the single-slot table at the first slot of that pair.
+    the pair's first slot by bit 0 and in its second by bit 8.  The end
+    states are those after the block's last pair, so only a block of even
+    length carries them on; an odd block, which can only be the last one,
+    ends in a pair padded with one all-Bad slot.
 
     Data-parallel FSM walk (Mytkowicz, Musuvathi & Schulte, ASPLOS 2014):
     each chunk after the first starts from a guess, start[c] for the channel
@@ -246,8 +234,7 @@ def _walk_block(path: np.ndarray, state: np.ndarray, nxt: np.ndarray, nxt2: np.n
                 if len(walked) < hi - lo:  # met the guessed trajectory
                     true = guessed_ends[j]
                     break
-    last = idx[tail - 1, :, k - 1]
-    end = 8 * nxt[last >> 3] if n % 2 else nxt2[last]
+    end = nxt2[idx[tail - 1, :, k - 1]]
     flags = done2.take(idx).transpose(1, 2, 0).reshape(idx.shape[1], -1)
     # every byte of a flag is 0 or 1, one byte per slot
     return np.packbits(flags.view(np.uint8)[:, :n], axis=1, bitorder="little"), end

@@ -169,12 +169,30 @@ def test_fm_tp_far_past_the_trapezoid_range(capsys):
     ("--fm-tp", "inf"),
     ("--fm-tp", "nan"),
     ("--sweep", "fs-db:0:1:inf"),
+    ("--pss", "inf"),
+    ("--pss", "nan"),
+    ("--fs-db", "inf"),
+    ("--fs-db", "nan"),
+    ("--fs-db", "-inf"),
+    ("--fr-over-fs-db", "inf"),
+    ("--fr-over-fs-db", "nan"),
+    ("--rho", "nan"),
+    ("--rho", "inf"),
 ])
 def test_non_finite_value_names_its_flag(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["analytic", "--strategy", "rr-nc", "--pss", "0.3", f"{flag}={value}"])
     assert exc.value.code == 2
     assert f"{flag}: must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("strategy = rr-nc\npss = 0.3\nfr-over-fs-db = 10, inf\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:3: fr-over-fs-db: must be finite" in capsys.readouterr().err
 
 
 def test_runs_without_scipy():
