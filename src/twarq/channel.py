@@ -325,6 +325,13 @@ def joint_matrices(models: Sequence[JointChannelModel]) -> np.ndarray:
     return prod.reshape(-1, 8, 8)
 
 
+# Shift counts of the word fill, 1 to 32, and of a word's top bit.  As
+# np.uint64 scalars they keep every word operation in uint64 under numpy 1.x
+# value-based promotion and NEP 50 alike.
+_WORD_SHIFTS = tuple(np.uint64(1 << i) for i in range(6))
+_TOP_BIT = np.uint64(63)
+
+
 def sample_link_path(
     ge: GilbertElliottParams,
     n_slots: int,
@@ -346,14 +353,20 @@ def sample_link_path(
     forces Good, u >= max(p_bg, p_gg) forces Bad, and in between the state
     holds when p_bg <= p_gg and toggles when p_bg > p_gg.  A slot's state is
     then the last forced value (or `start`), forward-filled, xor the parity
-    of the toggles since it.  The forward fill is a running maximum over
-    keys 2*(slot+1) + value, so the value rides in the lowest bit.  A slot
-    that is not forced gets key 0 by a multiply with the mask, and slot 0
-    at least `start`, which every forced key exceeds.  The multiply costs
-    the same whatever the share of forced slots.  A select on the mask
-    (np.where) branches on random bits instead, and runs several times
-    slower when about half the slots are forced, as on the relay links of
-    a correlated channel.
+    of the toggles since it.
+
+    The fill runs on the bits packed little-endian into 64-slot words, a
+    value word and a forced word.  Within a word it is a prefix scan in six
+    doubling steps (Hillis & Steele, CACM 29(12), 1986): for k = 1, 2, ...,
+    32, a slot not yet filled takes the value of the slot k below it, and
+    is filled if that one is.  A word's top bit is then its last state, if
+    anything in it was forced.  Across words the state is carried by a
+    running maximum over one key per word, 2*(word+1) + top value, or 0 for
+    a word with nothing forced, so it costs one element per 64 slots; the
+    carried state fills the slots of a word before its first forced one.
+    A toggling chain first takes the parity of its unforced slots the same
+    way: a prefix xor within each word, and an xor over the word totals
+    across them.
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
@@ -367,19 +380,43 @@ def sample_link_path(
         return path
 
     u = rng.random(n_slots)
-    value = u < min(ge.p_bg, ge.p_gg)
-    forced = value | (u >= max(ge.p_bg, ge.p_gg))
+    n_words = -(-n_slots // 64)
+    value = _packed_words(u < min(ge.p_bg, ge.p_gg), n_words)
+    forced = value | _packed_words(u >= max(ge.p_bg, ge.p_gg), n_words)
     toggles = ge.p_bg > ge.p_gg
     if toggles:
-        parity = np.logical_xor.accumulate(~forced)
+        parity = ~forced
+        for k in _WORD_SHIFTS:
+            parity ^= parity << k
+        through = np.bitwise_xor.accumulate(parity >> _TOP_BIT)  # to each word's end
+        parity[1:] ^= _all_ones_where(through[:-1])
         value ^= parity
-    key_type = np.int32 if n_slots < 2**30 else np.int64
-    key = np.arange(2, 2 * n_slots + 2, 2, dtype=key_type)
-    key += value
-    key *= forced
+        value &= forced
+    for k in _WORD_SHIFTS:
+        value |= (value << k) & ~forced
+        forced |= forced << k
+    key = np.arange(2, 2 * n_words + 2, 2, dtype=np.int64)
+    key += (value >> _TOP_BIT).astype(np.int64)
+    key *= (forced >> _TOP_BIT).astype(np.int64)
     key[0] = max(key[0], start)
     np.maximum.accumulate(key, out=key)
-    path = (key & 1).astype(np.int8)
+    carried = np.empty(n_words, dtype=np.int64)
+    carried[0] = start
+    carried[1:] = key[:-1] & 1
+    value |= ~forced & _all_ones_where(carried)
     if toggles:
-        path ^= parity
-    return path
+        value ^= parity
+    words = value.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(words, count=n_slots, bitorder="little").view(np.int8)
+
+
+def _packed_words(bits: np.ndarray, n_words: int) -> np.ndarray:
+    """The bits packed little-endian into n_words 64-bit words, zero-padded."""
+    packed = np.zeros(8 * n_words, dtype=np.uint8)
+    packed[: -(-bits.shape[0] // 8)] = np.packbits(bits, bitorder="little")
+    return packed.view("<u8")
+
+
+def _all_ones_where(bits: np.ndarray) -> np.ndarray:
+    """A word of all ones for each 1 in the 0/1 integers, zero for each 0."""
+    return (-bits.astype(np.int64)).view(np.uint64)

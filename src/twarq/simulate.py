@@ -83,8 +83,10 @@ _LOOKBACK = 256
 _STITCH_WINDOW = 64
 # Round-aligned batches of the regenerative standard error.
 _N_BATCHES = 100
-# Bytes of a round record per round count: one block of slots.
+# Bytes of a round record per block of slots, and per round count: 4,096
+# slots, so that a rank is found within 512 bytes.
 _SEGMENT = _BLOCK // 8
+_COUNTED = 512
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
@@ -92,17 +94,22 @@ class _Record(NamedTuple):
     """Where one FSM's rounds complete: bit t of `bits` (little-endian
     within each byte) is set when a round completes in slot t, and
     counts[i] is the number of rounds completed in bytes
-    i*_SEGMENT .. (i+1)*_SEGMENT - 1."""
+    i*_COUNTED .. (i+1)*_COUNTED - 1."""
 
     bits: np.ndarray
     counts: np.ndarray
 
 
 def _record(bits: np.ndarray) -> _Record:
-    """The record of a packed completion bitmap, counted segment by segment."""
-    counts = [int(_POPCOUNT.take(bits[lo : lo + _SEGMENT]).sum())
-              for lo in range(0, bits.shape[0], _SEGMENT)]
-    return _Record(bits, np.array(counts, dtype=np.int64))
+    """The record of a packed completion bitmap, its popcounts summed
+    _COUNTED bytes at a time; taken a block's bytes at a time, so that the
+    popcounts held never outgrow one block."""
+    counts = []
+    for lo in range(0, bits.shape[0], _SEGMENT):
+        popcount = _POPCOUNT.take(bits[lo : lo + _SEGMENT])
+        starts = np.arange(0, popcount.shape[0], _COUNTED)
+        counts.append(np.add.reduceat(popcount, starts, dtype=np.int64))
+    return _Record(bits, np.concatenate(counts))
 
 
 class _Machine(NamedTuple):
@@ -273,23 +280,24 @@ def _slots_by_rank(record: _Record, ranks: np.ndarray) -> np.ndarray:
     """The slot in which round r completes (rounds counted from 0), for each
     r of the ascending ranks, all below the record's round count.
 
-    The segment counts give the segment, a cumulative popcount over that
-    segment's bytes the byte, and the byte's unpacked bits the slot."""
+    The counts give each rank's window of _COUNTED bytes, a cumulative
+    popcount over the window the byte, and the byte's unpacked bits the
+    slot.  All windows are gathered at once; the last may run past the
+    record, and the clipped gather repeats its last byte there, after every
+    round that window holds."""
     ends = np.cumsum(record.counts)
-    segment = np.searchsorted(ends, ranks, side="right")
-    slots = np.empty(ranks.shape[0], dtype=np.int64)
-    for s in np.unique(segment).tolist():
-        at = segment == s
-        lo = s * _SEGMENT
-        seg_bits = record.bits[lo : lo + _SEGMENT]
-        by_byte = np.cumsum(_POPCOUNT.take(seg_bits), dtype=np.intp)
-        rank = ranks[at] - (ends[s] - record.counts[s])
-        byte = np.searchsorted(by_byte, rank, side="right")
-        rank -= by_byte[byte] - _POPCOUNT.take(seg_bits[byte])  # rank within the byte
-        unpacked = np.unpackbits(seg_bits[byte, None], axis=1, bitorder="little")
-        bit = (np.cumsum(unpacked, axis=1) > rank[:, None]).argmax(axis=1)
-        slots[at] = 8 * (lo + byte) + bit
-    return slots
+    window = np.searchsorted(ends, ranks, side="right")
+    rank = ranks - (ends[window] - record.counts[window])  # rank within the window
+    first = window * _COUNTED
+    window_bits = record.bits.take(first[:, None] + np.arange(_COUNTED), mode="clip")
+    popcount = _POPCOUNT.take(window_bits)
+    by_byte = np.cumsum(popcount, axis=1, dtype=np.intp)
+    byte = (by_byte <= rank[:, None]).sum(axis=1)
+    row = np.arange(ranks.shape[0])
+    rank -= by_byte[row, byte] - popcount[row, byte]  # rank within the byte
+    unpacked = np.unpackbits(window_bits[row, byte, None], axis=1, bitorder="little")
+    bit = (np.cumsum(unpacked, axis=1) > rank[:, None]).argmax(axis=1)
+    return 8 * (first + byte) + bit
 
 
 def _round_stats(record: _Record) -> tuple[int, float, float]:

@@ -9,13 +9,14 @@ quadrature; it needs no cancellation, so it reaches outages near 1e-300,
 where the Q difference would need some 300 digits.  The stationary-law
 oracle is damped power iteration, and the chain oracle solves the
 sub-state chain at 40 digits by GTH state reduction.  The link sampler steps
-the two-state chain scalar-wise.  The protocol oracle replays the state
-machine slot by slot through the public protocol API, not through
-protocol.kernel, so it checks the kernel.  The walk oracle does read the
-kernel, one slot at a time: it checks the chunked data-parallel walk and
-its stitch, not the table the walk reads.  The round statistics oracle sums
-per-round lengths batch by batch, where the simulator reads each batch off
-the completion slots that bound it.
+the two-state chain scalar-wise; for long horizons a second one
+forward-fills its forced slots by a running maximum over one key per slot.
+The protocol oracle replays the state machine slot by slot through the
+public protocol API, not through protocol.kernel, so it checks the kernel.
+The walk oracle does read the kernel, one slot at a time: it checks the
+chunked data-parallel walk and its stitch, not the table the walk reads.
+The round statistics oracle sums per-round lengths batch by batch, where
+the simulator reads each batch off the completion slots that bound it.
 """
 
 from __future__ import annotations
@@ -150,6 +151,32 @@ def link_path_scalar(ge: GilbertElliottParams, n_slots: int, rng,
         cur = 1 if rng.random() < p_good else 0
         out[k] = cur
     return out
+
+
+def link_path_running_max(ge: GilbertElliottParams, n_slots: int, rng,
+                          start: int) -> np.ndarray:
+    """The forced-renewal form of the chain (see `sample_link_path`), every
+    slot a step from `start` and the one before: the state is the last
+    forced value, or `start`, forward-filled by a running maximum over one
+    key per slot, 2*(slot+1) + value, or 0 for a slot not forced; a toggling
+    chain xors in the parity of its unforced slots.  It draws what
+    link_path_scalar draws, at numpy speed, so it reaches long horizons."""
+    u = rng.random(n_slots)
+    value = u < min(ge.p_bg, ge.p_gg)
+    forced = value | (u >= max(ge.p_bg, ge.p_gg))
+    toggles = ge.p_bg > ge.p_gg
+    if toggles:
+        parity = np.logical_xor.accumulate(~forced)
+        value ^= parity
+    key = np.arange(2, 2 * n_slots + 2, 2, dtype=np.int64)
+    key += value
+    key *= forced
+    key[0] = max(key[0], start)
+    np.maximum.accumulate(key, out=key)
+    path = (key & 1).astype(np.int8)
+    if toggles:
+        path ^= parity
+    return path
 
 
 def simulate_reference(config: SimConfig) -> tuple[int, list[int]]:

@@ -22,7 +22,13 @@ from twarq.channel import (
 )
 from twarq.simulate import _channel_path
 
-from _oracles import good_to_bad_mp, link_path_scalar, marcum_q_mp, marcum_q_quad
+from _oracles import (
+    good_to_bad_mp,
+    link_path_running_max,
+    link_path_scalar,
+    marcum_q_mp,
+    marcum_q_quad,
+)
 
 GRID_01 = np.linspace(0.05, 0.95, 19)
 # a relay link of the benchmark's long simulations: +10 dB over pss 0.327 at
@@ -420,3 +426,76 @@ def test_link_path_single_slot():
     ge = ge_transitions(0.3, 0.5)
     path = sample_link_path(ge, 1, np.random.default_rng(3))
     assert path.shape == (1,) and path[0] in (0, 1)
+
+
+# The sampler fills 64-slot words and carries the state, and a toggling
+# chain's parity, from word to word; the simulator calls it on blocks of 2^18.
+WORD_EDGES = (63, 64, 65, 127, 128, 129)
+BLOCK_EDGES = (2**18 - 1, 2**18, 2**18 + 1)
+# p_bg 2.5e-4 and p_gb 2.5e-6: about one slot in 4,000 forces a state, so
+# unforced runs span dozens of words, and the carry crosses each word edge
+RARELY_FORCED = ge_transitions(0.01, 1.0 - 1e-9)
+WORD_FILL_CHAINS = [
+    pytest.param(SIM_LONG_RELAY, id="sim-long-relay"),
+    pytest.param(ge_transitions(0.3, 0.9), id="p0.3-rho0.9"),
+    pytest.param(RARELY_FORCED, id="rarely-forced"),
+    pytest.param(GilbertElliottParams(0.9, 0.8), id="toggling"),
+    pytest.param(GilbertElliottParams(1.0, 1.0), id="always-toggling"),
+]
+
+
+def _both_samplers(sampler, ge, n, seed, start):
+    vec = sample_link_path(ge, n, np.random.default_rng(seed), start)
+    ref = sampler(ge, n, np.random.default_rng(seed), start)
+    return vec, ref
+
+
+@pytest.mark.parametrize("ge", WORD_FILL_CHAINS)
+@pytest.mark.parametrize("start", [0, 1])
+def test_word_fill_at_word_and_block_edges(ge, start):
+    """Horizons either side of a word and a block edge draw what the
+    running-maximum form draws, slot for slot."""
+    for n in WORD_EDGES + BLOCK_EDGES:
+        vec, ref = _both_samplers(link_path_running_max, ge, n, n, start)
+        assert vec.dtype == np.int8 and vec.shape == (n,)
+        assert np.array_equal(vec, ref), n
+
+
+@pytest.mark.parametrize("ge", WORD_FILL_CHAINS)
+@pytest.mark.parametrize("start", [0, 1])
+def test_word_fill_matches_scalar_stepping(ge, start):
+    for n in WORD_EDGES + (1, 2, 191, 192, 193, 4095, 4096, 4097):
+        vec, ref = _both_samplers(link_path_scalar, ge, n, 3 * n, start)
+        assert np.array_equal(vec, ref), n
+
+
+def test_rarely_forced_chain_carries_across_many_words():
+    """Most words of this path force nothing, and hold the state carried
+    from the last forced slot, words before."""
+    n = 2**18 + 1
+    u = np.random.default_rng(4).random(n)
+    lo, hi = sorted((RARELY_FORCED.p_bg, RARELY_FORCED.p_gg))
+    forced = np.flatnonzero((u < lo) | (u >= hi))
+    assert 1 <= forced.shape[0] and np.diff(forced, prepend=0, append=n).max() >= 64 * 100
+    for start in (0, 1):
+        vec, ref = _both_samplers(link_path_running_max, RARELY_FORCED, n, 4, start)
+        assert np.array_equal(vec, ref), start
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p_gb=st.floats(0.0, 1.0),
+    p_bg=st.floats(0.0, 1.0),
+    n=st.integers(1, 1000) | st.sampled_from(WORD_EDGES + (2**12, 2**12 + 63)),
+    start=st.sampled_from([0, 1, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_word_fill_property(p_gb, p_bg, n, start, seed):
+    ge = GilbertElliottParams(p_gb, p_bg)
+    if start is None and p_gb + p_bg == 0.0:
+        start = 1  # no stationary law to draw the first slot from
+    vec, ref = _both_samplers(link_path_scalar, ge, n, seed, start)
+    assert np.array_equal(vec, ref)
+    if start is not None:
+        _, ref = _both_samplers(link_path_running_max, ge, n, seed, start)
+        assert np.array_equal(vec, ref)

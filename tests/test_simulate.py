@@ -20,6 +20,7 @@ from twarq.protocol import Strategy, XorConvention, kernel
 from twarq.simulate import (
     _BLOCK,
     _CHUNK,
+    _COUNTED,
     CsiMode,
     SimConfig,
     _channel_path,
@@ -389,6 +390,33 @@ def test_slots_by_rank_match_unpacked_bits(flags):
     record = _record(np.packbits(flags, bitorder="little"))
     done = np.flatnonzero(np.unpackbits(record.bits, count=n, bitorder="little"))
     assert np.array_equal(done, np.flatnonzero(flags))
+    assert np.array_equal(_slots_by_rank(record, np.arange(done.shape[0])), done)
+    n_rounds, std_error, mean_round_length = _round_stats(record)
+    assert n_rounds == done.shape[0]
+    assert (std_error.hex(), mean_round_length.hex()) == tuple(
+        x.hex() for x in round_stats_from_lengths(done))
+
+
+# Slots either side of the edges of a record's 4,096-slot count windows.
+_WINDOW = 8 * _COUNTED
+
+
+@pytest.mark.parametrize("flags", [
+    _one_hot(_WINDOW, _WINDOW - 1),
+    _one_hot(_WINDOW + 1, _WINDOW),
+    _one_hot(3 * _WINDOW, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW - 1, 2 * _WINDOW),
+    _one_hot(2 * _WINDOW + 9, 0, 2 * _WINDOW + 8),  # the last window is 2 bytes long
+    _one_hot(_BLOCK + _WINDOW + 1, _BLOCK - 1, _BLOCK + _WINDOW - 1, _BLOCK + _WINDOW),
+    np.ones(3 * _WINDOW + 5, dtype=bool),  # 4,096 rounds in each full window
+    np.arange(5 * _WINDOW + 3) % 97 == 96,
+], ids=["last-of-window", "first-of-window", "around-edges", "short-last-window",
+        "past-a-block", "every-slot", "every-97th"])
+def test_slots_by_rank_at_count_window_edges(flags):
+    """Rounds next to the edges of the count windows, and in a short last
+    window, are found at their slots, and the statistics are the oracle's."""
+    record = _record(np.packbits(flags, bitorder="little"))
+    done = np.flatnonzero(flags)
+    assert record.counts.shape == (-(-flags.shape[0] // _WINDOW),)
     assert np.array_equal(_slots_by_rank(record, np.arange(done.shape[0])), done)
     n_rounds, std_error, mean_round_length = _round_stats(record)
     assert n_rounds == done.shape[0]
