@@ -168,7 +168,7 @@ def _scatter(nxt: np.ndarray, p_c: np.ndarray) -> np.ndarray:
 
 def _check_rows(rowsums: np.ndarray) -> None:
     rowsum_err = np.abs(rowsums - 1.0).max()
-    if rowsum_err > 1e-12:
+    if not rowsum_err <= 1e-12:  # NaN fails too
         raise NumericalError(f"transition matrix rows off stochastic by {rowsum_err}")
 
 
@@ -217,12 +217,12 @@ def steady_state(mat: np.ndarray) -> SteadyState:
     that class the system is nonsingular even when degenerate links leave
     other closed classes (packets held behind a pinned-Bad relay) or make
     T0 transient (rounds that stall forever).  Raises NumericalError on
-    negative mass or a residual above 1e-10.
+    negative or NaN mass or a residual above 1e-10.
     """
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise ValueError("transition matrix must be square")
-    if np.abs(mat.sum(axis=1) - 1.0).max() > 1e-9:
+    if not np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9:
         raise ValueError("matrix is not row-stochastic")
 
     cls = _closed_class(mat)
@@ -233,12 +233,12 @@ def steady_state(mat: np.ndarray) -> SteadyState:
     pi = np.zeros(n)
     pi[cls] = np.linalg.solve(system, rhs)
 
-    if pi.min() < -1e-10:
-        raise NumericalError(f"steady-state solve gave negative mass {pi.min()}")
+    if not pi.min() >= -1e-10:
+        raise NumericalError(f"steady-state solve gave negative or NaN mass {pi.min()}")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     res = float(np.abs(pi @ mat - pi).max())
-    if res > _RESIDUAL_TOL or abs(pi.sum() - 1.0) > 1e-12:
+    if not (res <= _RESIDUAL_TOL and abs(pi.sum() - 1.0) <= 1e-12):
         raise NumericalError(
             f"steady-state residual {res} above {_RESIDUAL_TOL} on a "
             f"{cls.size}-state recurrent class"
@@ -287,8 +287,8 @@ def analytic_many(
     support pattern of p_c.  Each value equals what a one-point call gives.
 
     Raises NumericalError when a p_c row is off stochastic by more than
-    1e-12, on negative mass, or when the slot-level law the renewal implies
-    leaves a residual of pi P = pi above 1e-10.
+    1e-12, on negative or NaN mass, or when the slot-level law the renewal
+    implies leaves a residual of pi P = pi above 1e-10 (or NaN).
     """
     if strategy is Strategy.SW_ARQ:
         return np.array([sw_arq_throughput(stationary_link(m.s1s2)[0]) for m in models])
@@ -446,13 +446,13 @@ def _renewal(plan: _Plan, p_c: np.ndarray) -> np.ndarray:
     pi = np.einsum("bs,bsn->bn", nu, visits)
     pi[:, plan.starts] += nu
     pi /= cycle[:, None]
-    if pi.min() < -1e-10:
-        raise NumericalError(f"renewal solve gave negative mass {pi.min()}")
+    if not pi.min() >= -1e-10:  # NaN fails too
+        raise NumericalError(f"renewal solve gave negative or NaN mass {pi.min()}")
     by_node = pi.reshape(batch, -1, N_CHAN)
     # pi P through the kernel: mass entering node n under channel i, times p_c
     entering = (by_node.transpose(2, 0, 1) @ plan.hops).transpose(1, 2, 0)
     res = np.abs(entering @ p_c - by_node).max(axis=(1, 2))
-    if res.max() > _RESIDUAL_TOL:
+    if not res.max() <= _RESIDUAL_TOL:
         raise NumericalError(
             f"steady-state residual {res.max()} above {_RESIDUAL_TOL} on the renewal solve")
     return 2.0 / cycle

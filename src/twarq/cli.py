@@ -315,8 +315,8 @@ def _build_spec(parser: argparse.ArgumentParser, values: dict) -> SweepSpec:
     fs_db = values.get("fs-db")
     if pss is not None and fs_db is not None:
         fail("--pss and --fs-db are mutually exclusive")
-    if pss is not None and not 0.0 < pss < 1.0:
-        fail(f"--pss must be in (0, 1), got {pss}")
+    if pss is not None and not (0.0 < pss < 1.0 and math.isfinite(fading_margin_from_outage(pss))):
+        fail(f"--pss must be in (0, 1) with a finite fading margin, got {pss}")
     direct_axis, direct = ("pss", [pss]) if pss is not None else ("fs-db", [fs_db])
 
     axis, swept = values.get("sweep", (None, None))

@@ -34,9 +34,9 @@ The *-NC variants use the xor broadcast row above, the plain variants treat
 b = 3 as a C row.  SW_ARQ ignores the relay entirely and just repeats the
 missing packet over the direct link.
 
-Both engines read the protocol from one table, kernel(strategy, convention,
-view) -> (nxt, done), built once by executing the rules above on every
-(state, joint channel) pair.  A state is a node, in the order
+Both engines walk one table, kernel(strategy, convention, view) -> (nxt,
+done), built by running the one-slot rules above on every (state, joint
+channel) pair; the state carries phase and token.  A state is a node:
 
     T0             first slot of a round (S1 sends p1)
     T1(a)          a = dec[ps1, rs1] left by the first slot, a = 0..3
@@ -76,14 +76,12 @@ __all__ = [
     "SlotOutcome",
     "Strategy",
     "XorConvention",
-    "advance_token",
     "apply_slot",
     "c_rows",
     "kernel",
     "kernel_nodes",
     "policy_action",
     "resolve_c",
-    "round_complete",
     "row_designates_c",
     "row_payload",
 ]
@@ -193,11 +191,6 @@ class ArqState:
         return self.ps1 == 1 and self.ps2 == 1
 
 
-def round_complete(state: ArqState) -> bool:
-    """True once both packets have reached their destination sources."""
-    return state.complete
-
-
 @dataclass(frozen=True)
 class Action:
     transmitter: NodeId
@@ -219,8 +212,9 @@ class SlotOutcome:
 
 @dataclass
 class PolicyContext:
-    """Per-run scheduler memory: phase, the alternation token, and the
-    last channel state each link was observed in (feedback bookkeeping).
+    """One slot's scheduler input: phase, the alternation token, and the last
+    channel state each link was observed in.  Whoever walks the slots updates
+    it between them and starts each round at phase TRANSMISSION_1, token 0.
 
     Links never observed yet are treated as Good, so the CR rule falls
     through to its relay default.
@@ -241,10 +235,6 @@ class PolicyContext:
         not read; the benchmark's protocol probe still passes one."""
         for link in LinkId:
             self.observe(link, link_bit(chan_index, link))
-
-    def reset_round(self) -> None:
-        self.phase = Phase.TRANSMISSION_1
-        self.token = 0
 
 
 # Retransmission table, b -> (fixed transmitter or None for C, payload).
@@ -390,36 +380,6 @@ def apply_slot(
     return SlotOutcome(state=new, observed=observed)
 
 
-def advance_token(
-    strategy: Strategy,
-    ctx: PolicyContext,
-    executed_state: ArqState | None,
-    next_state: ArqState | None = None,
-) -> PolicyContext:
-    """Update the scheduler token after a retransmission slot.
-
-    AR family: the token flips exactly when the executed row designated C.
-    CR family: the token is not alternated; it is recomputed from the
-    feedback view as the decision bit (1 = source) for the upcoming row, so
-    it mirrors what resolve_c will choose.  RR and SW_ARQ keep no token.
-    """
-    if strategy in (Strategy.AR, Strategy.AR_NC):
-        if executed_state is not None and row_designates_c(
-            strategy, executed_state.b_index
-        ):
-            ctx.token ^= 1
-        return ctx
-    if strategy.reads_csi:
-        ctx.token = 0
-        if next_state is not None and not next_state.complete:
-            b = next_state.b_index
-            if row_designates_c(strategy, b):
-                chosen = resolve_c(strategy, next_state, row_payload(strategy, b), ctx)
-                ctx.token = 0 if chosen is NodeId.R else 1
-        return ctx
-    return ctx
-
-
 class Node(NamedTuple):
     """A kernel node: the phase of the slot, the ARQ bits it starts from (a
     for TRANSMISSION_2, b for RETRANSMISSION) and the token (None if
@@ -467,7 +427,7 @@ def kernel(
     """
     nodes = kernel_nodes(strategy, view)
     index = {node: k for k, node in enumerate(nodes)}
-    tokened = _tokened_rows(strategy, view)
+    tokened, c_set = _tokened_rows(strategy, view), c_rows(strategy)
     views = range(8) if view is CsiMode.LAST_KNOWN else (None,)
     nxt = np.empty((len(nodes) * len(views), 8), dtype=np.intp)
     done = np.zeros(nxt.shape, dtype=bool)
@@ -496,9 +456,11 @@ def kernel(
                     target = Node(Phase.TRANSMISSION_2, a=(out.state.ps1 << 1) | out.state.rs1)
                 else:
                     b, token = out.state.b_index, None
-                    if b in tokened:  # CR tokens only under PREV_SLOT: ctx holds chan
-                        executed = state if node.kind is Phase.RETRANSMISSION else None
-                        token = advance_token(strategy, ctx, executed, out.state).token
+                    if b in tokened and strategy.reads_csi:  # PREV_SLOT: ctx holds chan
+                        chosen = resolve_c(strategy, out.state, row_payload(strategy, b), ctx)
+                        token = int(chosen is not NodeId.R)
+                    elif b in tokened:  # AR: the bit flips past every executed C row
+                        token = ctx.token ^ (node.b in c_set)
                     target = Node(Phase.RETRANSMISSION, b=b, token=token)
                 seen = 0
                 if known is not None:

@@ -268,7 +268,10 @@ def _channel_blocks(
             for (ge, rng), prev in zip(links, last)
         ]
         last = [int(b[-1]) for b in bits]
-        yield (bits[0] << 2) | (bits[1] << 1) | bits[2]
+        for b in bits[1:]:  # bits[0] becomes (s1r << 2) | (s2r << 1) | s1s2
+            bits[0] <<= 1
+            bits[0] |= b
+        yield bits[0]
 
 
 def _channel_path(model: JointChannelModel, n_slots: int, seed: int) -> np.ndarray:

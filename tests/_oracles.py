@@ -12,7 +12,8 @@ sub-state chain at 40 digits by GTH state reduction.  The link sampler steps
 the two-state chain scalar-wise; for long horizons a second one
 forward-fills its forced slots by a running maximum over one key per slot.
 The protocol oracle replays the state machine slot by slot through the
-public protocol API, not through protocol.kernel, so it checks the kernel.
+per-slot protocol API, not through protocol.kernel, and keeps the token and
+round state itself, so it checks the kernel's carry as well as its slots.
 The walk oracle does read the kernel, one slot at a time: it checks the
 chunked data-parallel walk and its stitch, not the table the walk reads.
 The round statistics oracle sums per-round lengths batch by batch, where
@@ -36,10 +37,9 @@ from twarq.protocol import (
     PolicyContext,
     Strategy,
     XorConvention,
-    advance_token,
     apply_slot,
+    c_rows,
     policy_action,
-    round_complete,
 )
 from twarq.protocol import CsiMode, kernel
 from twarq.simulate import SimConfig, _channel_path
@@ -184,7 +184,11 @@ def simulate_reference(config: SimConfig) -> tuple[int, list[int]]:
 
     Returns (rounds completed, per-round slot counts).  Shares only the
     channel path with run(); every protocol decision goes through
-    policy_action / apply_slot / advance_token directly.
+    policy_action / apply_slot directly, and the replay keeps what carries
+    across slots itself: the AR token flips after each executed C row, the
+    CR view is the previous slot's channel (PREV_SLOT), the genie's current
+    one, or the feedback observed so far (LAST_KNOWN), and each round starts
+    at phase TRANSMISSION_1 with token 0.
     """
     path = _channel_path(config.model, config.n_slots, config.seed)
     strategy = config.strategy
@@ -205,17 +209,17 @@ def simulate_reference(config: SimConfig) -> tuple[int, list[int]]:
         action = policy_action(strategy, state, ctx)
         outcome = apply_slot(state, action, chan, config.xor_convention)
         if ctx.phase is Phase.RETRANSMISSION and strategy in _AR_FAMILY:
-            advance_token(strategy, ctx, state, outcome.state)
+            ctx.token ^= state.b_index in c_rows(strategy)
         for link, bit in outcome.observed:
             ctx.observe(link, bit)
         state = outcome.state
 
-        if round_complete(state):
+        if state.complete:
             rounds += 1
             lengths.append(k - round_start + 1)
             round_start = k + 1
             state = ArqState()
-            ctx.reset_round()
+            ctx.phase, ctx.token = Phase.TRANSMISSION_1, 0
         elif ctx.phase is Phase.TRANSMISSION_1:
             ctx.phase = Phase.TRANSMISSION_2
         elif ctx.phase is Phase.TRANSMISSION_2:

@@ -173,6 +173,11 @@ def test_steady_state_rejects_bad_matrix():
         steady_state(np.array([[0.5, 0.2], [0.3, 0.7]]))
 
 
+def test_steady_state_rejects_nan():
+    with pytest.raises(ValueError, match="not row-stochastic"):
+        steady_state(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+
 @pytest.mark.parametrize("strat", [Strategy.RR_NC, Strategy.AR, Strategy.CR_NC])
 @pytest.mark.parametrize("point", PARAM_POINTS)
 def test_direct_solve_matches_power_iteration(strat, point):
@@ -369,6 +374,24 @@ def test_renewal_keeps_the_row_sum_gate(monkeypatch):
     monkeypatch.setattr(analysis, "joint_matrices", lambda models: exact(models) * (1 + 1e-9))
     with pytest.raises(NumericalError, match="off stochastic"):
         analytic_many(Strategy.RR_NC, [model_for(0.4, 10.0, 0.9)])
+
+
+def test_renewal_row_sum_gate_rejects_nan(monkeypatch):
+    import twarq.analysis as analysis
+
+    exact = analysis.joint_matrices
+    monkeypatch.setattr(analysis, "joint_matrices", lambda models: exact(models) * np.nan)
+    with pytest.raises(NumericalError, match="off stochastic"):
+        analytic_many(Strategy.RR_NC, [model_for(0.4, 10.0, 0.9)])
+
+
+def test_renewal_raises_where_its_solve_gives_nan():
+    """A direct-link outage of 1e-309 leaves a subnormal outflow in the
+    round-start reduction; the division by it gives NaN, which the mass
+    and residual checks must reject rather than return."""
+    model = JointChannelModel.symmetric(1e-309, 0.0, 0.0)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        analytic_many(Strategy.RR, [model])
 
 
 # The analytic benchmark workload's quasi-static points: pss sweeps at

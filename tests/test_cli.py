@@ -195,6 +195,35 @@ def test_non_finite_config_value_names_its_key(tmp_path, capsys):
     assert f"{cfg}:3: fr-over-fs-db: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--strategy", "rr", "--pss", "1e-309"],
+    ["simulate", "--strategy", "rr", "--pss", "1e-320", "--n-slots", "100"],
+])
+def test_pss_without_a_finite_margin_is_usage_error(capsys, argv):
+    """-1/ln(1 - P) overflows a float for P below about 5.6e-309."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--pss must be in (0, 1) with a finite fading margin" in capsys.readouterr().err
+
+
+def test_pss_without_a_finite_margin_in_a_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("strategy = rr\npss = 1e-309\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "pss must be in (0, 1) with a finite fading margin" in capsys.readouterr().err
+
+
+def test_smallest_pss_with_a_finite_margin_still_solves(capsys):
+    code, out = run_cli(capsys, "analytic", "--strategy", "rr", "--pss", "6e-309")
+    assert code == 0
+    row = rows_of(out)[0]
+    assert float(row["fs_db"]) == pytest.approx(3082.2, abs=0.1)
+    assert row["eta_analytic"] == "1"
+
+
 def test_runs_without_scipy():
     """The runtime needs numpy only: with scipy made unimportable, the
     converter and both engines still run."""

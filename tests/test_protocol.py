@@ -8,20 +8,19 @@ from twarq.protocol import (
     Action,
     ArqState,
     CsiMode,
+    Node,
     NodeId,
     Payload,
     Phase,
     PolicyContext,
     Strategy,
     XorConvention,
-    advance_token,
     apply_slot,
     c_rows,
     kernel,
     kernel_nodes,
     policy_action,
     resolve_c,
-    round_complete,
 )
 
 COOPERATIVE = [s for s in Strategy if s.cooperative]
@@ -38,6 +37,17 @@ def _retx_ctx(token=0, csi=None):
 
 def _chan(s1r, s2r, s1s2):
     return (s1r << 2) | (s2r << 1) | s1s2
+
+
+def _retx(b, token=None):
+    return Node(Phase.RETRANSMISSION, b=b, token=token)
+
+
+def _next_node(strategy, node, chan, view=CsiMode.PREV_SLOT):
+    """The kernel node after one slot in `node` under joint channel `chan`."""
+    nodes = kernel_nodes(strategy, view)
+    nxt, _ = kernel(strategy, XorConvention.SAME_INDEX, view)
+    return nodes[nxt[nodes.index(node), chan]]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +198,7 @@ def test_apply_xor_broadcast_completes_round():
     state = ArqState(0, 0, 1, 1)
     out = apply_slot(state, Action(NodeId.R, Payload.XOR), _chan(1, 1, 0))
     assert out.state == ArqState(1, 1, 1, 1)
-    assert round_complete(out.state)
+    assert out.state.complete
 
 
 def test_apply_xor_broadcast_all_relay_links_down():
@@ -256,61 +266,50 @@ def test_apply_never_clears_bits():
 
 
 def test_round_complete_definition():
-    assert round_complete(ArqState(1, 1, 0, 0))
-    assert not round_complete(ArqState(1, 0, 1, 1))
-    assert not round_complete(ArqState(0, 1, 1, 1))
+    assert ArqState(1, 1, 0, 0).complete
+    assert not ArqState(1, 0, 1, 1).complete
+    assert not ArqState(0, 1, 1, 1).complete
 
 
 # ---------------------------------------------------------------------------
-# Token bookkeeping
+# Token bookkeeping: the kernel carries it from one slot to the next
 # ---------------------------------------------------------------------------
 
 
 def test_token_flips_on_c_row():
-    ctx = _retx_ctx(token=0)
-    advance_token(Strategy.AR, ctx, ArqState.from_b_index(2), ArqState.from_b_index(2))
-    assert ctx.token == 1
-    advance_token(Strategy.AR, ctx, ArqState.from_b_index(2), ArqState.from_b_index(2))
-    assert ctx.token == 0
+    # row 2 is C; every link Bad keeps b = 2 whoever sends p1
+    assert _next_node(Strategy.AR, _retx(2, 0), 0) == _retx(2, 1)
+    assert _next_node(Strategy.AR, _retx(2, 1), 0) == _retx(2, 0)
 
 
 def test_token_holds_on_fixed_row():
-    ctx = _retx_ctx(token=0)
-    advance_token(Strategy.AR, ctx, ArqState.from_b_index(0), ArqState.from_b_index(2))
-    assert ctx.token == 0
+    # row 0: S1 sends p1, the relay hears it (b = 2) but S2 does not
+    for token in (0, 1):
+        assert _next_node(Strategy.AR, _retx(0, token), _chan(1, 0, 0)) == _retx(2, token)
 
 
 def test_token_xor_row_fixed_only_with_nc():
-    ctx = _retx_ctx(token=0)
-    advance_token(Strategy.AR_NC, ctx, ArqState.from_b_index(3), ArqState.from_b_index(3))
-    assert ctx.token == 0  # xor broadcast is not a C row under network coding
-    advance_token(Strategy.AR, ctx, ArqState.from_b_index(3), ArqState.from_b_index(3))
-    assert ctx.token == 1
+    # xor broadcast is not a C row under network coding
+    assert _next_node(Strategy.AR_NC, _retx(3, 0), 0) == _retx(3, 0)
+    assert _next_node(Strategy.AR, _retx(3, 0), 0) == _retx(3, 1)
 
 
 def test_token_csi_recompute():
-    ctx = _retx_ctx()
-    ctx.set_csi_from_index(_chan(1, 0, 1))  # S2R bad, direct good
-    advance_token(Strategy.CR_NC, ctx, None, ArqState.from_b_index(2))
-    assert ctx.token == 1  # source retransmits p1
-    ctx.set_csi_from_index(_chan(1, 1, 1))
-    advance_token(Strategy.CR_NC, ctx, None, ArqState.from_b_index(2))
-    assert ctx.token == 0
+    # the token on CR's row 2 is the choice read from the slot's channel
+    # (1 = source), whatever the token the slot started from
+    s2r_bad_direct_good = _chan(1, 0, 1)
+    assert _next_node(Strategy.CR_NC, _retx(2, 0), s2r_bad_direct_good) == _retx(2, 1)
+    direct_bad = _chan(1, 0, 0)
+    assert _next_node(Strategy.CR_NC, _retx(2, 1), direct_bad) == _retx(2, 0)
+    # under the other views the stored view or the current channel decides
+    for view in (CsiMode.LAST_KNOWN, CsiMode.GENIE):
+        assert all(node.token is None for node in kernel_nodes(Strategy.CR_NC, view))
 
 
 def test_token_untouched_for_rr():
-    ctx = _retx_ctx(token=1)
-    advance_token(Strategy.RR, ctx, ArqState.from_b_index(2), ArqState.from_b_index(2))
-    assert ctx.token == 1
-
-
-def test_context_round_reset():
-    ctx = _retx_ctx(token=1)
-    ctx.observe(LinkId.S1R, BAD)
-    ctx.reset_round()
-    assert ctx.phase is Phase.TRANSMISSION_1 and ctx.token == 0
-    # channel knowledge survives the round boundary
-    assert ctx.csi(LinkId.S1R) == BAD
+    for strat in (Strategy.RR, Strategy.RR_NC, Strategy.SW_ARQ):
+        assert all(node.token is None for node in kernel_nodes(strat))
+    assert _next_node(Strategy.RR, _retx(2), 0) == _retx(2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +322,10 @@ def test_perfect_channel_rounds_take_two_slots():
         state = ArqState()
         ctx = PolicyContext()
         out = apply_slot(state, policy_action(strat, state, ctx), 7)
-        assert not round_complete(out.state)
+        assert not out.state.complete
         ctx.phase = Phase.TRANSMISSION_2
         out = apply_slot(out.state, policy_action(strat, out.state, ctx), 7)
-        assert round_complete(out.state)
+        assert out.state.complete
 
 
 def test_reachable_states_safe_by_exhaustive_walk():
@@ -342,6 +341,10 @@ def test_reachable_states_safe_by_exhaustive_walk():
             if key in seen:
                 continue
             seen.add(key)
+            # the AR token flips after each executed C row, as the slot
+            # replay oracle flips it
+            flip = (phase is Phase.RETRANSMISSION and strat in (Strategy.AR, Strategy.AR_NC)
+                    and state.b_index in c_rows(strat))
             for view_bits in range(8):
                 ctx = _retx_ctx(token)
                 ctx.phase = phase
@@ -349,14 +352,12 @@ def test_reachable_states_safe_by_exhaustive_walk():
                 action = policy_action(strat, state, ctx)
                 for chan in range(8):
                     out = apply_slot(state, action, chan)
-                    if phase is Phase.RETRANSMISSION:
-                        advance_token(strat, ctx, state, out.state)
-                    if round_complete(out.state):
+                    if out.state.complete:
                         frontier.append((Phase.TRANSMISSION_1, ArqState(), 0))
                     elif phase is Phase.TRANSMISSION_1:
                         frontier.append((Phase.TRANSMISSION_2, out.state, 0))
                     else:
-                        frontier.append((Phase.RETRANSMISSION, out.state, ctx.token))
+                        frontier.append((Phase.RETRANSMISSION, out.state, token ^ flip))
         # 1 start + 4 second-slot states + at most 12 rows x 2 tokens
         assert len(seen) <= 1 + 4 + 24
 
