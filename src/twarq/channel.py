@@ -60,6 +60,7 @@ __all__ = [
     "link_bit",
     "outage_probability",
     "sample_link_path",
+    "sample_link_words",
     "stationary_link",
     "with_link_bit",
 ]
@@ -338,7 +339,21 @@ def sample_link_path(
     rng: np.random.Generator,
     start: int | None = None,
 ) -> np.ndarray:
-    """Sample one link's Good/Bad bits for n_slots slots.
+    """Sample one link's Good/Bad bits for n_slots slots, one int8 per slot:
+    the bits of `sample_link_words`, drawn the same way."""
+    words = sample_link_words(ge, n_slots, rng, start)
+    return np.unpackbits(words.view(np.uint8), count=n_slots, bitorder="little").view(np.int8)
+
+
+def sample_link_words(
+    ge: GilbertElliottParams,
+    n_slots: int,
+    rng: np.random.Generator,
+    start: int | None = None,
+) -> np.ndarray:
+    """Sample one link's Good/Bad bits for n_slots slots, packed
+    little-endian into 64-bit words: slot t is bit t % 64 of word t // 64,
+    and every bit past n_slots is 0.
 
     Without `start` the first slot is drawn stationary from one uniform and
     the remaining n_slots - 1 slots from one uniform per transition.  With
@@ -353,7 +368,7 @@ def sample_link_path(
     forces Good, u >= max(p_bg, p_gg) forces Bad, and in between the state
     holds when p_bg <= p_gg and toggles when p_bg > p_gg.  A slot's state is
     then the last forced value (or `start`), forward-filled, xor the parity
-    of the toggles since it.
+    of the toggles since it.  A stationary first slot is forced to its draw.
 
     The fill runs on the bits packed little-endian into 64-slot words, a
     value word and a forced word.  Within a word it is a prefix scan in six
@@ -370,19 +385,21 @@ def sample_link_path(
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    if start is None:
+    u = np.empty(n_slots)
+    stationary = start is None
+    if stationary:
         pi_bad, _ = stationary_link(ge)
-        first = BAD if rng.random() < pi_bad else GOOD
-        path = np.empty(n_slots, dtype=np.int8)
-        path[0] = first
-        if n_slots > 1:
-            path[1:] = sample_link_path(ge, n_slots - 1, rng, first)
-        return path
-
-    u = rng.random(n_slots)
+        start = BAD if rng.random() < pi_bad else GOOD
+        rng.random(out=u[1:])
+    else:
+        rng.random(out=u)
+    good = u < min(ge.p_bg, ge.p_gg)
+    bad = u >= max(ge.p_bg, ge.p_gg)
+    if stationary:
+        good[0], bad[0] = start == GOOD, start == BAD
     n_words = -(-n_slots // 64)
-    value = _packed_words(u < min(ge.p_bg, ge.p_gg), n_words)
-    forced = value | _packed_words(u >= max(ge.p_bg, ge.p_gg), n_words)
+    value = _packed_words(good, n_words)
+    forced = value | _packed_words(bad, n_words)
     toggles = ge.p_bg > ge.p_gg
     if toggles:
         parity = ~forced
@@ -406,8 +423,9 @@ def sample_link_path(
     value |= ~forced & _all_ones_where(carried)
     if toggles:
         value ^= parity
-    words = value.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(words, count=n_slots, bitorder="little").view(np.int8)
+    if n_slots % 64:
+        value[-1] &= np.uint64((1 << n_slots % 64) - 1)
+    return value
 
 
 def _packed_words(bits: np.ndarray, n_words: int) -> np.ndarray:

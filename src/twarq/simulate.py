@@ -8,12 +8,15 @@ block from where the previous block left it.  Memory is O(block) per
 machine plus its round record, one bit per slot, whatever the horizon.
 
 A machine is protocol.kernel, the (state, channel) table the analytic chain
-is built from, for the run's CSI view, composed with itself into a table
-that steps two slots at once and flags, by bit 0 and bit 8, which of the two
-slots completed a round.  The group's tables are concatenated, and every
-(machine, chunk) column of a block advances in lockstep, one gather per
-pair of slots, from a guessed start a fixed lookback before its chunk; a
-left-to-right stitch keeps the result exact.
+is built from, for the run's CSI view, composed into a table that steps four
+slots at once and flags, by bit t of a nibble, a round completed in slot t.
+The links are sampled as packed bits (`channel.sample_link_words`), and a
+step's key is read straight off them: the nibbles that the three links'
+bytes hold for its four slots.  The group's tables stand side by side, and
+every (machine, chunk) column of a block advances in lockstep, one gather per
+four slots, from a guessed start a fixed lookback before its chunk; a
+left-to-right stitch keeps the result exact.  The nibbles of two consecutive
+steps are one byte of the round record.
 
 Throughput is delivered packets over slots.  The standard error is a ratio
 estimator over batches of whole rounds (regenerative statistics), which
@@ -32,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import JointChannelModel, LinkId, sample_link_path
+from .channel import JointChannelModel, LinkId, sample_link_words
 from .protocol import CsiMode, Strategy, XorConvention, kernel
 
 __all__ = ["CsiMode", "SimConfig", "SimStats", "run", "run_csi_comparison", "run_many"]
@@ -68,18 +71,18 @@ class SimStats:
 
 
 # Walk geometry: the horizon is sampled and walked in blocks of _BLOCK slots,
-# and each block is split into chunks of _CHUNK slots walked in lockstep, two
+# and each block is split into chunks of _CHUNK slots walked in lockstep, four
 # slots a step.  A short block gets shorter chunks, at least _MIN_CHUNKS of
-# them, so that a short run does not pay one numpy call per slot pair.
+# them, so that a short run does not pay one numpy call per step.
 _BLOCK = 1 << 18
 _CHUNK = 2048
 _MIN_CHUNKS = 64
 # Slots a guessed chunk walks before its first slot, so that it has mostly
-# joined the true trajectory by then.  Capped at a quarter of the chunk: the
-# short chunks of a short run would pay more lockstep steps than it saves.
+# joined the true trajectory by then.  Capped at half the chunk: the short
+# chunks of a short run would pay more lockstep steps than it saves.
 _LOOKBACK = 256
-# Slot pairs converted to Python lists at a time while the stitch walks a
-# chunk again; most chunks meet their guessed trajectory within a few rounds.
+# Steps converted to Python lists at a time while the stitch walks a chunk
+# again; most chunks meet their guessed trajectory within a few rounds.
 _STITCH_WINDOW = 64
 # Round-aligned batches of the regenerative standard error.
 _N_BATCHES = 100
@@ -113,115 +116,141 @@ def _record(bits: np.ndarray) -> _Record:
 
 
 class _Machine(NamedTuple):
-    """One kernel as the flat tables the walk indexes (see `_fsm`)."""
+    """FSMs side by side, as the tables the walk indexes (see `_fsm`)."""
 
     start: np.ndarray
-    nxt2: np.ndarray
-    done2: np.ndarray
+    nxt4: np.ndarray
+    done4: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _fsm(strategy: Strategy, convention: XorConvention, mode: CsiMode) -> _Machine:
-    """The kernel for the CSI view, stepped two slots at a time.
+def _slot_channel(key: np.ndarray, t: int) -> np.ndarray:
+    """The joint channel index in slot t (0..3) of a step key: bits t, 4 + t
+    and 8 + t of the key are the S1-S2, S2-R and S1-R links in that slot."""
+    return (key >> (8 + t) & 1) << 2 | (key >> (4 + t) & 1) << 1 | key >> t & 1
 
-    Over the index s*64 + c1*8 + c2 of a state and the channels of two
-    slots, nxt2 is 64*s'' for the state after both, pre-scaled so that one
-    add forms the next index, and done2 is a little-endian 16-bit flag: bit
-    0 marks a round completed in the first slot, bit 8 one completed in the
-    second, so that the bytes of a run of flags mark completions slot by
-    slot.  start[c] is the state of node T0 whose view is channel c.  Only
-    LAST_KNOWN keeps a view in the state, and that view alone fixes the CR
-    choice; PREV_SLOT caches the choice in a token instead, and GENIE reads
-    the current channel.  A run starts at start[7]: links never observed
-    count as Good.
+
+def _then(nxt: np.ndarray, done: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two steps of the [row, state] tables as one: row r2*R + r1 of the
+    result takes row r1 and then row r2 of the R rows given, and flags the
+    completions of r1 as they were and those of r2 shifted up `shift` bits."""
+    n_rows = nxt.shape[0]
+    done2 = done.take(nxt, axis=1)  # [r2, r1, state]
+    done2 <<= shift
+    done2 |= done
+    return (nxt.take(nxt, axis=1).reshape(n_rows * n_rows, -1),
+            done2.reshape(n_rows * n_rows, -1))
+
+
+@lru_cache(maxsize=16)
+def _fsm(keys: tuple[tuple[Strategy, XorConvention, CsiMode], ...]) -> _Machine:
+    """The FSMs of the keys, each the kernel for its CSI view, side by side
+    in one set of tables that steps four slots at a time: the states of each
+    FSM shifted by those of the FSMs before it.  Kept per group of keys,
+    since a sweep walks the same group at every point.
+
+    A step key holds the channels of four slots bit-sliced, as the walk
+    reads them off the links' packed bits: the low nibble is the S1-S2 link
+    in slots 0..3, the next the S2-R link and the high nibble the S1-R link
+    (see `_slot_channel`).  Both tables are channel-major, [key, state]:
+    nxt4 is the state after the four slots (uint16), and done4 a nibble
+    whose bit t marks a round completed in slot t (uint8), so that the
+    flags of two consecutive steps make one little-endian byte of the round
+    record.  They are the kernels composed into a two-slot step, that step
+    composed with itself, and the rows put in key order.
+
+    start[f, c] is the state of node T0 of FSM f whose view is channel c.  Only LAST_KNOWN keeps a view in the state, and that view alone
+    fixes the CR choice; PREV_SLOT caches the choice in a token instead,
+    and GENIE reads the current channel.  A run starts at start[f, 7]:
+    links never observed count as Good.
     """
-    nxt, done = kernel(strategy, convention, mode)
-    nxt, done = nxt.ravel(), done.ravel()
-    mid = 8 * nxt[:, None] + np.arange(8)  # the index of the second slot
-    done2 = done[:, None] | done[mid].astype(np.uint16) << 8
-    start = np.arange(8) if mode is CsiMode.LAST_KNOWN else np.zeros(8, dtype=np.intp)
-    tables = _Machine(start, 64 * nxt[mid].ravel(), done2.ravel().astype("<u2"))
+    kernels = [kernel(*key) for key in keys]
+    base = np.cumsum([0] + [nxt.shape[0] for nxt, _ in kernels[:-1]]).tolist()
+    nxt = np.concatenate([nxt + b for (nxt, _), b in zip(kernels, base)])
+    done = np.concatenate([done for _, done in kernels])
+    nxt, done = nxt.T.astype(np.uint16), done.T.astype(np.uint8)  # [channel, state]
+    nxt, done = _then(*_then(nxt, done, 1), 2)  # row c3*512 + c2*64 + c1*8 + c0
+    row = sum(_slot_channel(np.arange(1 << 12), t) << 3 * t for t in range(4))
+    start = np.stack([
+        (np.arange(8) if mode is CsiMode.LAST_KNOWN else np.zeros(8, dtype=np.intp)) + b
+        for (_, _, mode), b in zip(keys, base)
+    ])
+    tables = _Machine(start, nxt.take(row, axis=0), done.take(row, axis=0))
     for tab in tables:
         tab.setflags(write=False)
     return tables
 
 
-def _walk(blocks: Iterable[np.ndarray], fsms: Sequence[_Machine],
-          n_slots: int) -> list[_Record]:
-    """The round record of each FSM over the concatenated channel blocks,
-    n_slots in all, every block _BLOCK slots long but the last, as
+def _walk(blocks: Iterable[np.ndarray], fsms: _Machine, n_slots: int) -> list[_Record]:
+    """The round record of each of the FSMs over n_slots slots whose step
+    keys come in blocks, every block _BLOCK slots long but the last, as
     `_channel_blocks` yields them.  All FSMs walk each block together, each
-    from the state it ended the previous block in, on one table: theirs
-    stacked, each shifted by the states of those before it.  Block i's
-    packed flags are written into the records at byte i*_SEGMENT."""
-    base = np.cumsum([0] + [fsm.nxt2.shape[0] // 64 for fsm in fsms[:-1]])
-    nxt2 = np.concatenate([fsm.nxt2 + 64 * b for fsm, b in zip(fsms, base)])
-    done2 = np.concatenate([fsm.done2 for fsm in fsms])
-    start = 64 * np.stack([fsm.start + b for fsm, b in zip(fsms, base)])
-    nxt2_list = nxt2.tolist()  # the stitch steps one pair of slots at a time
-    bits = np.zeros((len(fsms), -(-n_slots // 8)), dtype=np.uint8)
-    state = start[:, 7]
-    for lo, path in zip(range(0, bits.shape[1], _SEGMENT), blocks):
-        packed, state = _walk_block(path, state, nxt2, nxt2_list, done2, start)
+    from the state it ended the previous block in.  Block i's flags are
+    written into the records at byte i*_SEGMENT."""
+    bits = np.zeros((fsms.start.shape[0], -(-n_slots // 8)), dtype=np.uint8)
+    state = fsms.start[:, 7]
+    for lo, keys in zip(range(0, bits.shape[1], _SEGMENT), blocks):
+        packed, state = _walk_block(keys, state, fsms)
         bits[:, lo : lo + packed.shape[1]] = packed
     return [_record(row) for row in bits]
 
 
-def _walk_block(path: np.ndarray, state: np.ndarray, nxt2: np.ndarray, nxt2_list: list,
-                done2: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walk one block as chunks, every FSM at once, two slots a step;
+def _walk_block(keys: np.ndarray, state: np.ndarray,
+                fsms: _Machine) -> tuple[np.ndarray, np.ndarray]:
+    """Walk one block as chunks, every FSM at once, four slots a step;
     returns (completion flags, end states), the flags of FSM f packed
     little-endian into row f, one bit per slot of the block.
 
-    A step reads the channels of a pair of slots as one index c1*8 + c2
-    into the two-slot tables of `_fsm`, whose flag marks a completion in
-    the pair's first slot by bit 0 and in its second by bit 8.  The end
-    states are those after the block's last pair, so only a block of even
-    length carries them on; an odd block, which can only be the last one,
-    ends in a pair padded with one all-Bad slot.
+    The block comes as its step keys (see `_step_keys`), two per byte of
+    slots, and a step of an FSM in state s reads entry key*S + s of the
+    `_fsm` tables, S states wide: the walk indexes by the raw key.  The
+    nibbles of two consecutive steps make one byte of flags.  The end
+    states are those after the block's last step, so only a block of whole
+    bytes carries them on; a shorter block, which can only be the last one,
+    ends in slots padded all-Bad, in which no round completes.
 
     Data-parallel FSM walk (Mytkowicz, Musuvathi & Schulte, ASPLOS 2014):
-    each chunk after the first starts from a guess, start[c] for the channel
-    c just before its lookback, and walks the lookback and then the chunk,
-    one gather per pair of slots for all (FSM, chunk) columns.  A
+    each chunk after the first starts from a guess, start[f, c] for the
+    channel c in the slot just before its lookback, and walks the lookback
+    and then the chunk, one gather per step for all (FSM, chunk) columns.  A
     left-to-right stitch per FSM walks a chunk whose guess differs from the
     true end of the chunk before it again from the true state, but only
     until the two trajectories meet; from there on they agree.  A chunk
     that never meets it, as when no round completes in it, is walked to its
     end.
     """
-    n = path.shape[0]
-    m = -(-n // 2)  # slot pairs
-    length = max(1, min(_CHUNK // 2, m // _MIN_CHUNKS))
+    m = keys.shape[0]
+    start, nxt4, done4 = fsms
+    n_states = nxt4.shape[1]
+    nxt4, done4 = nxt4.ravel(), done4.ravel()
+    length = max(1, min(_CHUNK // 4, m // _MIN_CHUNKS))
     k = -(-m // length)
     tail = m - (k - 1) * length
-    pairs = path[::2] << 3
-    pairs[: n // 2] |= path[1::2]
-    # chan[t, j] is pair j*length + t; the last chunk is padded with index 0
-    # (every link Bad in both slots), in which no round completes
+    # chan[t, j] is step j*length + t; the last chunk is padded with key 0
+    # (every link Bad in all four slots), in which no round completes
     chan = np.zeros((length, k), dtype=np.intp)
-    chan.T[: k - 1] = pairs[: m - tail].reshape(k - 1, length)
-    chan[:tail, k - 1] = pairs[m - tail :]
-    take = nxt2.take
+    chan.T[: k - 1] = keys[: m - tail].reshape(k - 1, length)
+    chan[:tail, k - 1] = keys[m - tail :]
     # s[f, j]: FSM f's state in chunk j; the guesses walk the lookback first
-    s = np.empty((state.shape[0], k), dtype=np.intp)
+    w = min(_LOOKBACK // 4, length // 2)
+    s = np.empty((state.shape[0], k), dtype=np.uint16)
     s[:, 0] = state
-    w = min(_LOOKBACK // 2, length // 4)
-    # C order, for fast gathers; c & 7 is the second slot of pair c
-    guess = start[:, chan[length - 1 - w, : k - 1] & 7].copy()
-    ahead = np.empty_like(guess)
+    guess = start[:, _slot_channel(chan[length - 1 - w, : k - 1], 3)].astype(np.uint16)
+    chan *= n_states
+    take = nxt4.take
+    ahead = np.empty(guess.shape, dtype=np.intp)
     for c in chan[length - w :, : k - 1]:
         np.add(guess, c, out=ahead)
         take(ahead, out=guess, mode="clip")
     s[:, 1:] = guess
     guesses = s.tolist()
-    # idx[t, f, j] = state*64 + pair: the table index of FSM f in chunk j
+    # idx[t, f, j] = key*S + state: the table index of FSM f in chunk j
     idx = np.empty((length, *s.shape), dtype=np.intp)
     for c, i in zip(chan, idx):
         np.add(s, c, out=i)
         take(i, out=s, mode="clip")
     ends = s.tolist()
 
+    step = nxt4.item
     for f, (guessed_starts, guessed_ends) in enumerate(zip(guesses, ends)):
         true = guessed_starts[0]
         for j in range(k):
@@ -236,21 +265,22 @@ def _walk_block(path: np.ndarray, state: np.ndarray, nxt2: np.ndarray, nxt2_list
                     if i == guessed:
                         break
                     walked.append(i)
-                    true = nxt2_list[i]
+                    true = step(i)
                 idx[lo : lo + len(walked), f, j] = walked
                 if len(walked) < hi - lo:  # met the guessed trajectory
                     true = guessed_ends[j]
                     break
-    end = nxt2[idx[tail - 1, :, k - 1]]
-    flags = done2.take(idx).transpose(1, 2, 0).reshape(idx.shape[1], -1)
-    # every byte of a flag is 0 or 1, one byte per slot
-    return np.packbits(flags.view(np.uint8)[:, :n], axis=1, bitorder="little"), end
+    end = nxt4[idx[tail - 1, :, k - 1]]
+    flags = done4.take(idx).transpose(1, 2, 0).reshape(idx.shape[1], -1)
+    return flags[:, 0:m:2] | flags[:, 1:m:2] << 4, end
 
 
-def _channel_blocks(
+def _link_blocks(
     model: JointChannelModel, n_slots: int, seed: int
-) -> Iterator[np.ndarray]:
-    """Joint channel indices for the horizon, _BLOCK slots at a time.
+) -> Iterator[tuple[list[np.ndarray], int]]:
+    """Each link's packed Good bits for the horizon (see
+    `sample_link_words`), in LinkId order, with the slots they hold:
+    _BLOCK slots at a time.
 
     One PCG64 stream per link, spawned from the run seed and drawn in the
     same order whatever the block size, so two runs with the same seed see
@@ -263,20 +293,46 @@ def _channel_blocks(
     ]
     last = [None] * len(links)
     for lo in range(0, n_slots, _BLOCK):
-        bits = [
-            sample_link_path(ge, min(_BLOCK, n_slots - lo), rng, prev)
-            for (ge, rng), prev in zip(links, last)
-        ]
-        last = [int(b[-1]) for b in bits]
-        for b in bits[1:]:  # bits[0] becomes (s1r << 2) | (s2r << 1) | s1s2
-            bits[0] <<= 1
-            bits[0] |= b
-        yield bits[0]
+        n = min(_BLOCK, n_slots - lo)
+        words = [sample_link_words(ge, n, rng, prev) for (ge, rng), prev in zip(links, last)]
+        last = [int(w[(n - 1) // 64]) >> (n - 1) % 64 & 1 for w in words]
+        yield words, n
+
+
+def _step_keys(words: Sequence[np.ndarray], n_slots: int) -> np.ndarray:
+    """The walk's step keys over n_slots slots of the three links' packed
+    bits, two per byte of slots: the low nibbles of the links' bytes, then
+    the high ones, each nibble in its place of the key (see `_fsm`)."""
+    n_bytes = -(-n_slots // 8)
+    nibbles = np.empty((len(words), n_bytes, 2), dtype=np.uint16)
+    for nibble, link in zip(nibbles, words):
+        byte = link.view(np.uint8)[:n_bytes]
+        nibble[:, 0] = byte & 15
+        nibble[:, 1] = byte >> 4
+    keys = nibbles[0] << 8
+    keys |= nibbles[1] << 4
+    keys |= nibbles[2]
+    return keys.ravel()
+
+
+def _channel_blocks(
+    model: JointChannelModel, n_slots: int, seed: int
+) -> Iterator[np.ndarray]:
+    """The walk's step keys for the horizon, _BLOCK slots at a time."""
+    for words, n in _link_blocks(model, n_slots, seed):
+        yield _step_keys(words, n)
 
 
 def _channel_path(model: JointChannelModel, n_slots: int, seed: int) -> np.ndarray:
-    """Joint channel indices for the whole horizon."""
-    return np.concatenate(list(_channel_blocks(model, n_slots, seed)))
+    """Joint channel indices (s1r << 2) | (s2r << 1) | s1s2 for the whole
+    horizon, one int8 per slot."""
+    path = np.zeros(n_slots, dtype=np.int8)
+    for lo, (words, n) in zip(range(0, n_slots, _BLOCK), _link_blocks(model, n_slots, seed)):
+        block = path[lo : lo + n]
+        for link in words:
+            block <<= 1
+            block |= np.unpackbits(link.view(np.uint8), count=n, bitorder="little").view(np.int8)
+    return path
 
 
 def _slots_by_rank(record: _Record, ranks: np.ndarray) -> np.ndarray:
@@ -345,8 +401,7 @@ def run_many(configs: Iterable[SimConfig]) -> list[SimStats]:
     out: list[SimStats] = [None] * len(configs)
     for (model, n_slots, seed), members in groups.items():
         keys = list(dict.fromkeys(_fsm_key(configs[i]) for i in members))
-        records = _walk(_channel_blocks(model, n_slots, seed),
-                        [_fsm(*key) for key in keys], n_slots)
+        records = _walk(_channel_blocks(model, n_slots, seed), _fsm(tuple(keys)), n_slots)
         stats = {key: _round_stats(record) for key, record in zip(keys, records)}
         for i in members:
             n_rounds, std_error, mean_round_length = stats[_fsm_key(configs[i])]

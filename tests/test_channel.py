@@ -18,6 +18,7 @@ from twarq.channel import (
     link_bit,
     outage_probability,
     sample_link_path,
+    sample_link_words,
     stationary_link,
 )
 from twarq.simulate import _channel_path
@@ -467,6 +468,21 @@ def test_word_fill_matches_scalar_stepping(ge, start):
     for n in WORD_EDGES + (1, 2, 191, 192, 193, 4095, 4096, 4097):
         vec, ref = _both_samplers(link_path_scalar, ge, n, 3 * n, start)
         assert np.array_equal(vec, ref), n
+
+
+@pytest.mark.parametrize("ge", WORD_FILL_CHAINS)
+@pytest.mark.parametrize("start", [None, 0, 1])
+def test_packed_words_unpack_to_the_path(ge, start):
+    """The packed words hold the path's bits, slot t at bit t % 64 of word
+    t // 64, and no bit past the horizon: a stray bit there would record
+    rounds in slots that do not exist."""
+    for n in (1, 63, 64, 65, 2**18 - 1, 2**18 + 1):
+        words = sample_link_words(ge, n, np.random.default_rng(n), start)
+        path = sample_link_path(ge, n, np.random.default_rng(n), start)
+        assert words.dtype == np.dtype("<u8") and words.shape == (-(-n // 64),)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        assert np.array_equal(bits[:n], path), n
+        assert not bits[n:].any(), n
 
 
 def test_rarely_forced_chain_carries_across_many_words():

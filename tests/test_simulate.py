@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -28,6 +29,8 @@ from twarq.simulate import (
     _record,
     _round_stats,
     _slots_by_rank,
+    _step_keys,
+    _then,
     _walk,
     run,
     run_csi_comparison,
@@ -177,14 +180,22 @@ def walk_path():
     return _channel_path(model_for(0.5, 10.0, 0.99), max(WALK_HORIZONS), seed=21)
 
 
-def _walk_slots(blocks, fsms, n_slots):
-    """Slots at which each FSM completes a round, read from its round record."""
+def _block_keys(path):
+    """The walk's step keys of a block given as per-slot joint channels."""
+    links = [np.packbits(path >> shift & 1, bitorder="little") for shift in (2, 1, 0)]
+    return _step_keys(links, path.shape[0])
+
+
+def _walk_slots(blocks, cases, n_slots):
+    """Slots at which each FSM completes a round, read from its round record,
+    over blocks of per-slot joint channels."""
+    keys = (_block_keys(path) for path in blocks)
     return [np.flatnonzero(np.unpackbits(record.bits, count=n_slots, bitorder="little"))
-            for record in _walk(blocks, fsms, n_slots)]
+            for record in _walk(keys, _fsm(tuple(cases)), n_slots)]
 
 
-def _walk_in_blocks(path, fsm):
-    return _walk_group_in_blocks(path, [fsm])[0]
+def _walk_in_blocks(path, case):
+    return _walk_group_in_blocks(path, [case])[0]
 
 
 @pytest.mark.parametrize("strategy,convention,mode", WALK_CASES,
@@ -193,10 +204,10 @@ def test_walk_matches_sequential_reference(strategy, convention, mode, walk_path
     """The chunked walk, streamed in blocks, completes rounds at exactly the
     slots the sequential table walk does: within one chunk, across chunk and
     block boundaries, and after chunks whose speculation never merges."""
-    fsm = _fsm(strategy, convention, mode)
-    expected = walk_reference(walk_path, strategy, convention, mode)
+    case = (strategy, convention, mode)
+    expected = walk_reference(walk_path, *case)
     for horizon in WALK_HORIZONS:
-        got = _walk_in_blocks(walk_path[:horizon], fsm)
+        got = _walk_in_blocks(walk_path[:horizon], case)
         assert np.array_equal(got, expected[expected < horizon]), horizon
 
     # one all-Good slot delivers p1, then every link is Bad for several
@@ -204,9 +215,9 @@ def test_walk_matches_sequential_reference(strategy, convention, mode, walk_path
     # guessed trajectory meets the true one until the channel recovers
     outage = 5 * _CHUNK + 3
     path = np.concatenate(([7], np.zeros(outage, dtype=np.int8), walk_path[:3000]))
-    expected = walk_reference(path, strategy, convention, mode)
+    expected = walk_reference(path, *case)
     assert expected.size and expected[0] > outage
-    assert np.array_equal(_walk_in_blocks(path, fsm), expected)
+    assert np.array_equal(_walk_in_blocks(path, case), expected)
 
 
 TABLE_CASES = [(s, c, m) for s in Strategy for c in XorConvention for m in CsiMode]
@@ -215,41 +226,64 @@ TABLE_CASES = [(s, c, m) for s in Strategy for c in XorConvention for m in CsiMo
 @pytest.mark.parametrize("strategy,convention,mode", TABLE_CASES,
                          ids=lambda v: getattr(v, "value", v))
 def test_two_slot_tables_are_two_single_steps(strategy, convention, mode):
-    """For every (state, c1, c2), the two-slot step lands where two kernel
-    steps do, and its flag's first byte marks a round completed in the
-    first slot, its second byte one completed in the second."""
-    nxt, done = (tab.tolist() for tab in kernel(strategy, convention, mode))
-    fsm = _fsm(strategy, convention, mode)
-    nxt2 = fsm.nxt2.tolist()
-    flags = fsm.done2.view(np.uint8).reshape(-1, 2).tolist()
-    assert len(nxt2) == len(flags) == 64 * len(nxt)
+    """For every (state, c1, c2), the two-slot step that `_fsm` composes
+    with itself lands where two kernel steps do, and its flag's bit 0 marks
+    a round completed in the first slot, bit 1 one completed in the second."""
+    nxt, done = kernel(strategy, convention, mode)
+    nxt2, done2 = (tab.tolist() for tab in _then(nxt.T.astype(np.uint16),
+                                                 done.T.astype(np.uint8), 1))
+    nxt, done = nxt.tolist(), done.tolist()
+    assert len(nxt2) == len(done2) == 64
     for s, (row_nxt, row_done) in enumerate(zip(nxt, done)):
         for c1, mid in enumerate(row_nxt):
             for c2 in range(8):
-                i = 64 * s + 8 * c1 + c2
-                assert nxt2[i] == 64 * nxt[mid][c2], (s, c1, c2)
-                assert flags[i] == [row_done[c1], done[mid][c2]], (s, c1, c2)
+                i = 8 * c2 + c1
+                assert nxt2[i][s] == nxt[mid][c2], (s, c1, c2)
+                assert done2[i][s] == row_done[c1] | done[mid][c2] << 1, (s, c1, c2)
 
 
-def _walk_group_in_blocks(path, fsms):
+@pytest.mark.parametrize("strategy,convention,mode", TABLE_CASES,
+                         ids=lambda v: getattr(v, "value", v))
+def test_four_slot_tables_are_four_single_steps(strategy, convention, mode):
+    """For every state and every channel sequence of four slots, keyed as
+    the walk keys it from the links' bits, the four-slot step lands where
+    four kernel steps do, and bit t of its flag nibble marks a round
+    completed in slot t."""
+    nxt, done = kernel(strategy, convention, mode)
+    fsm = _fsm(((strategy, convention, mode),))
+    assert fsm.nxt4.shape == fsm.done4.shape == (4096, nxt.shape[0])
+    assert (fsm.nxt4.dtype, fsm.done4.dtype) == (np.uint16, np.uint8)
+    slots = np.array(list(itertools.product(range(8), repeat=4)), dtype=np.int8)
+    keys = _block_keys(slots.ravel())
+    assert np.array_equal(np.sort(keys), np.arange(4096))  # every key, once
+    state = np.broadcast_to(np.arange(nxt.shape[0]), fsm.nxt4.shape)
+    flags = np.zeros(fsm.done4.shape, dtype=np.int64)
+    for t in range(4):
+        channel = slots[:, t, None]
+        flags |= done[state, channel].astype(np.int64) << t
+        state = nxt[state, channel]
+    assert np.array_equal(fsm.nxt4[keys], state)
+    assert np.array_equal(fsm.done4[keys], flags)
+
+
+def _walk_group_in_blocks(path, cases):
     blocks = (path[lo : lo + _BLOCK] for lo in range(0, path.shape[0], _BLOCK))
-    return _walk_slots(blocks, fsms, path.shape[0])
+    return _walk_slots(blocks, cases, path.shape[0])
 
 
 def test_grouped_walk_matches_sequential_reference(walk_path):
     """All walk cases stepped in one lockstep group over one path: each
     machine completes rounds at exactly the slots its sequential walk does."""
-    fsms = [_fsm(*case) for case in WALK_CASES]
     expected = [walk_reference(walk_path, *case) for case in WALK_CASES]
     for horizon in WALK_HORIZONS:
-        got = _walk_group_in_blocks(walk_path[:horizon], fsms)
+        got = _walk_group_in_blocks(walk_path[:horizon], WALK_CASES)
         assert len(got) == len(WALK_CASES)
         for case, g, e in zip(WALK_CASES, got, expected):
             assert np.array_equal(g, e[e < horizon]), (horizon, case)
 
     outage = 5 * _CHUNK + 3
     path = np.concatenate(([7], np.zeros(outage, dtype=np.int8), walk_path[:3000]))
-    for case, g in zip(WALK_CASES, _walk_group_in_blocks(path, fsms)):
+    for case, g in zip(WALK_CASES, _walk_group_in_blocks(path, WALK_CASES)):
         expected = walk_reference(path, *case)
         assert expected.size and expected[0] > outage
         assert np.array_equal(g, expected), case
@@ -440,7 +474,7 @@ def test_round_stats_equal_per_round_oracle(rounds):
 def test_round_stats_equal_per_round_oracle_long():
     cfg = SimConfig(Strategy.RR_NC, model_for(0.327, 10.0, 0.99), 2_000_000, 12345)
     done = _walk_in_blocks(_channel_path(cfg.model, cfg.n_slots, cfg.seed),
-                           _fsm(Strategy.RR_NC, XorConvention.SAME_INDEX, CsiMode.PREV_SLOT))
+                           (Strategy.RR_NC, XorConvention.SAME_INDEX, CsiMode.PREV_SLOT))
     assert 750_000 <= done.shape[0] <= 900_000
     _assert_stats_match_oracle(run(cfg), done)
 
