@@ -45,11 +45,10 @@ and with nu the round-start law (nu K = nu, nu 1 = 1) the renewal-reward
 theorem gives the T0 share of slots as 1 / (nu L), so eta = 2 / (nu L).
 
 ARQ bits only latch from 0 to 1, so once T0 is cut out, the only cycles of
-the kernel's node graph are self-loops and the token flips of one row.  Its
-strongly connected components hold at most 2 nodes (16 sub-states) for
-every strategy and xor convention.  Under the last-known view, whose kernel
-states are nodes times views, they hold at most 2 states for CR and CR-NC
-and 4 for AR's token flips.  In their topological order I - Q is block
+the kernel's node graph are self-loops and the token flips of one row, or,
+in the last-known kernels of CR and CR-NC, whose R nodes keep the view, two
+views of one row.  Its strongly connected components hold at most 2 nodes
+(16 sub-states) in every kernel.  In their topological order I - Q is block
 lower-triangular, and v is found by forward substitution, for all points
 of a call at once.  A component's block of I - Q depends only on its
 channels and inner steps, so the 16-17 components of a strategy share 5-6

@@ -36,20 +36,23 @@ missing packet over the direct link.
 
 Both engines walk one table, kernel(strategy, convention, view) -> (nxt,
 done), built by running the one-slot rules above on every (state, joint
-channel) pair; the state carries phase and token.  A state is a node:
+channel) pair; the state carries phase, token and view.  A state is a node:
 
     T0             first slot of a round (S1 sends p1)
     T1(a)          a = dec[ps1, rs1] left by the first slot, a = 0..3
-    R(b[, t])      b = 0..11; a token t = 0, 1 after each tokened row
+    R(b[, t|v])    b = 0..11; a token t = 0, 1 after each tokened row, or
+                   the last-known view v = 0..7 for CR under LAST_KNOWN
 
-times the last-known feedback view (node*8 + view) under CsiMode.LAST_KNOWN.
 The token is the AR alternation bit on every row, or, on the C rows of CR
 under the previous-slot view, the choice (1 = source) cached from the channel
 the previous slot saw.  RR, the stop-and-wait baseline and CR under the other
 two views keep none: the stored last-known view, or the genie's current
 channel, fixes the CR choice.  On a C row the token names the transmitter:
-0 the relay, 1 the packet's source.  nxt[s, c] is the state after a slot in
-state s under joint channel c, and done[s, c] marks a completed round.
+0 the relay, 1 the packet's source.  The view, the joint channel index of
+the links as feedback last showed them, sits on R nodes only: a round's
+first two slots observe all three links before a C row reads it.  So T0 is
+state 0 of every kernel.  nxt[s, c] is the state after a slot in state s
+under joint channel c, and done[s, c] marks a completed round.
 """
 
 from __future__ import annotations
@@ -381,14 +384,15 @@ def apply_slot(
 
 
 class Node(NamedTuple):
-    """A kernel node: the phase of the slot, the ARQ bits it starts from (a
-    for TRANSMISSION_2, b for RETRANSMISSION) and the token (None if
-    untokened)."""
+    """A kernel state: the phase of the slot, the ARQ bits it starts from (a
+    for TRANSMISSION_2, b for RETRANSMISSION), the token and the last-known
+    view, a joint channel index (each None where the state keeps none)."""
 
     kind: Phase
     a: int | None = None
     b: int | None = None
     token: int | None = None
+    view: int | None = None
 
 
 def _tokened_rows(strategy: Strategy, view: CsiMode) -> tuple[int, ...]:
@@ -402,12 +406,13 @@ def _tokened_rows(strategy: Strategy, view: CsiMode) -> tuple[int, ...]:
 def kernel_nodes(
     strategy: Strategy, view: CsiMode = CsiMode.PREV_SLOT
 ) -> tuple[Node, ...]:
-    """The kernel's nodes in state order: T0, T1(a), then R(b[, t])."""
+    """The kernel's states in order: T0, T1(a), then R(b[, t|v])."""
     tokened = _tokened_rows(strategy, view)
+    views = range(8) if strategy.reads_csi and view is CsiMode.LAST_KNOWN else (None,)
     nodes = [Node(Phase.TRANSMISSION_1)] + [Node(Phase.TRANSMISSION_2, a=a) for a in range(4)]
     for b in range(12):
-        nodes += [Node(Phase.RETRANSMISSION, b=b, token=t)
-                  for t in ((0, 1) if b in tokened else (None,))]
+        nodes += [Node(Phase.RETRANSMISSION, b=b, token=t, view=v)
+                  for t in ((0, 1) if b in tokened else (None,)) for v in views]
     return tuple(nodes)
 
 
@@ -418,18 +423,20 @@ def kernel(
     view: CsiMode = CsiMode.PREV_SLOT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (nxt, done) tables of shape (states, 8) over (state, joint
-    channel); see the module docstring for the state order.
+    channel); the states are those of `kernel_nodes`, T0 first.
 
-    The next node's token is the AR alternation bit advanced past the slot,
+    The next state's token is the AR alternation bit advanced past the slot,
     or, under PREV_SLOT, the CR choice for its row made from the slot's
-    channel.  Without a token, CR chooses from the view the state stores
-    (LAST_KNOWN) or from the current channel (GENIE).
+    channel.  Without a token, CR chooses from the view the state keeps
+    (LAST_KNOWN) or from the current channel (GENIE).  An R state's view is
+    the one before the slot with the slot's observed links written in; from
+    T1(a), the S1-R bit of a is all it takes from before.
     """
     nodes = kernel_nodes(strategy, view)
     index = {node: k for k, node in enumerate(nodes)}
     tokened, c_set = _tokened_rows(strategy, view), c_rows(strategy)
-    views = range(8) if view is CsiMode.LAST_KNOWN else (None,)
-    nxt = np.empty((len(nodes) * len(views), 8), dtype=np.intp)
+    keeps_view = strategy.reads_csi and view is CsiMode.LAST_KNOWN
+    nxt = np.empty((len(nodes), 8), dtype=np.intp)
     done = np.zeros(nxt.shape, dtype=bool)
     for k, node in enumerate(nodes):
         if node.kind is Phase.RETRANSMISSION:
@@ -437,37 +444,35 @@ def kernel(
         else:
             a = node.a or 0
             state = ArqState(ps1=a >> 1, rs1=a & 1)
-        for v, known in enumerate(views):
-            s = k * len(views) + v
-            for chan in range(8):
-                ctx = PolicyContext(phase=node.kind, token=node.token or 0)
-                ctx.set_csi_from_index(chan if known is None else known)
-                if node.token is not None and row_designates_c(strategy, node.b):
-                    payload = row_payload(strategy, node.b)
-                    sender = _SOURCE_OF[payload] if node.token else NodeId.R
-                    action = Action(sender, payload)
-                else:
-                    action = policy_action(strategy, state, ctx)
-                out = apply_slot(state, action, chan, convention)
-                if out.state.complete:
-                    done[s, chan] = True
-                    target = Node(Phase.TRANSMISSION_1)
-                elif node.kind is Phase.TRANSMISSION_1:
-                    target = Node(Phase.TRANSMISSION_2, a=(out.state.ps1 << 1) | out.state.rs1)
-                else:
-                    b, token = out.state.b_index, None
-                    if b in tokened and strategy.reads_csi:  # PREV_SLOT: ctx holds chan
-                        chosen = resolve_c(strategy, out.state, row_payload(strategy, b), ctx)
-                        token = int(chosen is not NodeId.R)
-                    elif b in tokened:  # AR: the bit flips past every executed C row
-                        token = ctx.token ^ (node.b in c_set)
-                    target = Node(Phase.RETRANSMISSION, b=b, token=token)
-                seen = 0
-                if known is not None:
+        known = node.view if node.view is not None else with_link_bit(0, LinkId.S1R, state.rs1)
+        for chan in range(8):
+            ctx = PolicyContext(phase=node.kind, token=node.token or 0)
+            ctx.set_csi_from_index(chan if node.view is None else node.view)
+            if node.token is not None and row_designates_c(strategy, node.b):
+                payload = row_payload(strategy, node.b)
+                sender = _SOURCE_OF[payload] if node.token else NodeId.R
+                action = Action(sender, payload)
+            else:
+                action = policy_action(strategy, state, ctx)
+            out = apply_slot(state, action, chan, convention)
+            if out.state.complete:
+                done[k, chan] = True
+                target = Node(Phase.TRANSMISSION_1)
+            elif node.kind is Phase.TRANSMISSION_1:
+                target = Node(Phase.TRANSMISSION_2, a=(out.state.ps1 << 1) | out.state.rs1)
+            else:
+                b, token, seen = out.state.b_index, None, None
+                if b in tokened and strategy.reads_csi:  # PREV_SLOT: ctx holds chan
+                    chosen = resolve_c(strategy, out.state, row_payload(strategy, b), ctx)
+                    token = int(chosen is not NodeId.R)
+                elif b in tokened:  # AR: the bit flips past every executed C row
+                    token = ctx.token ^ (node.b in c_set)
+                if keeps_view:
                     seen = known
                     for link, bit in out.observed:
                         seen = with_link_bit(seen, link, bit)
-                nxt[s, chan] = index[target] * len(views) + seen
+                target = Node(Phase.RETRANSMISSION, b=b, token=token, view=seen)
+            nxt[k, chan] = index[target]
     nxt.setflags(write=False)
     done.setflags(write=False)
     return nxt, done

@@ -158,10 +158,8 @@ def _fsm(keys: tuple[tuple[Strategy, XorConvention, CsiMode], ...]) -> _Machine:
     record.  They are the kernels composed into a two-slot step, that step
     composed with itself, and the rows put in key order.
 
-    start[f, c] is the state of node T0 of FSM f whose view is channel c.  Only LAST_KNOWN keeps a view in the state, and that view alone
-    fixes the CR choice; PREV_SLOT caches the choice in a token instead,
-    and GENIE reads the current channel.  A run starts at start[f, 7]:
-    links never observed count as Good.
+    start[f] is the state of FSM f's T0, kernel state 0, where every run
+    of it starts.
     """
     kernels = [kernel(*key) for key in keys]
     base = np.cumsum([0] + [nxt.shape[0] for nxt, _ in kernels[:-1]]).tolist()
@@ -170,11 +168,7 @@ def _fsm(keys: tuple[tuple[Strategy, XorConvention, CsiMode], ...]) -> _Machine:
     nxt, done = nxt.T.astype(np.uint16), done.T.astype(np.uint8)  # [channel, state]
     nxt, done = _then(*_then(nxt, done, 1), 2)  # row c3*512 + c2*64 + c1*8 + c0
     row = sum(_slot_channel(np.arange(1 << 12), t) << 3 * t for t in range(4))
-    start = np.stack([
-        (np.arange(8) if mode is CsiMode.LAST_KNOWN else np.zeros(8, dtype=np.intp)) + b
-        for (_, _, mode), b in zip(keys, base)
-    ])
-    tables = _Machine(start, nxt.take(row, axis=0), done.take(row, axis=0))
+    tables = _Machine(np.array(base), nxt.take(row, axis=0), done.take(row, axis=0))
     for tab in tables:
         tab.setflags(write=False)
     return tables
@@ -187,7 +181,7 @@ def _walk(blocks: Iterable[np.ndarray], fsms: _Machine, n_slots: int) -> list[_R
     from the state it ended the previous block in.  Block i's flags are
     written into the records at byte i*_SEGMENT."""
     bits = np.zeros((fsms.start.shape[0], -(-n_slots // 8)), dtype=np.uint8)
-    state = fsms.start[:, 7]
+    state = fsms.start
     for lo, keys in zip(range(0, bits.shape[1], _SEGMENT), blocks):
         packed, state = _walk_block(keys, state, fsms)
         bits[:, lo : lo + packed.shape[1]] = packed
@@ -209,14 +203,13 @@ def _walk_block(keys: np.ndarray, state: np.ndarray,
     ends in slots padded all-Bad, in which no round completes.
 
     Data-parallel FSM walk (Mytkowicz, Musuvathi & Schulte, ASPLOS 2014):
-    each chunk after the first starts from a guess, start[f, c] for the
-    channel c in the slot just before its lookback, and walks the lookback
-    and then the chunk, one gather per step for all (FSM, chunk) columns.  A
-    left-to-right stitch per FSM walks a chunk whose guess differs from the
-    true end of the chunk before it again from the true state, but only
-    until the two trajectories meet; from there on they agree.  A chunk
-    that never meets it, as when no round completes in it, is walked to its
-    end.
+    each chunk after the first starts from a guess, the FSM's T0, and walks
+    the lookback and then the chunk, one gather per step for all (FSM,
+    chunk) columns.  A left-to-right stitch per FSM walks a chunk whose
+    guess differs from the true end of the chunk before it again from the
+    true state, but only until the two trajectories meet; from there on
+    they agree.  A chunk that never meets it, as when no round completes in
+    it, is walked to its end.
     """
     m = keys.shape[0]
     start, nxt4, done4 = fsms
@@ -234,7 +227,7 @@ def _walk_block(keys: np.ndarray, state: np.ndarray,
     w = min(_LOOKBACK // 4, length // 2)
     s = np.empty((state.shape[0], k), dtype=np.uint16)
     s[:, 0] = state
-    guess = start[:, _slot_channel(chan[length - 1 - w, : k - 1], 3)].astype(np.uint16)
+    guess = np.repeat(start[:, None].astype(np.uint16), k - 1, axis=1)
     chan *= n_states
     take = nxt4.take
     ahead = np.empty(guess.shape, dtype=np.intp)

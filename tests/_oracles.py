@@ -231,16 +231,10 @@ def simulate_reference(config: SimConfig) -> tuple[int, list[int]]:
 def walk_reference(
     path: np.ndarray, strategy: Strategy, convention: XorConvention, mode: CsiMode
 ) -> np.ndarray:
-    """Completion slots of the sequential kernel walk over a channel path.
-
-    Starts from node T0, under LAST_KNOWN with the all-Good view (state 7).
-    Strategies outside the CR family ignore the view and are walked with the
-    previous-slot one.
-    """
-    if strategy not in _CR_FAMILY:
-        mode = CsiMode.PREV_SLOT
+    """Completion slots of the sequential kernel walk over a channel path,
+    started at T0, state 0 of every kernel."""
     nxt, done = (tab.tolist() for tab in kernel(strategy, convention, mode))
-    state = 7 if mode is CsiMode.LAST_KNOWN else 0
+    state = 0
     completions = []
     for k, c in enumerate(path.tolist()):
         if done[state][c]:

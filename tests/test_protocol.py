@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from twarq.channel import GOOD, BAD, LinkId
+from twarq.channel import GOOD, BAD, LinkId, with_link_bit
 from twarq.exceptions import ProtocolError
 from twarq.protocol import (
     Action,
@@ -373,7 +374,7 @@ PREV_STATES = {
 KERNEL_STATES = (
     [(s, CsiMode.PREV_SLOT, n) for s, n in PREV_STATES.items()]
     + [(s, CsiMode.GENIE, 17) for s in (Strategy.CR, Strategy.CR_NC)]
-    + [(s, CsiMode.LAST_KNOWN, 136 if s in (Strategy.CR, Strategy.CR_NC) else 8 * n)
+    + [(s, CsiMode.LAST_KNOWN, 101 if s in (Strategy.CR, Strategy.CR_NC) else n)
        for s, n in PREV_STATES.items()]
 )
 
@@ -386,6 +387,57 @@ def test_kernel_state_counts(strategy, view, states, convention):
     assert nxt.shape == done.shape == (states, 8)
     assert nxt.min() >= 0 and nxt.max() < states
     assert not nxt.flags.writeable and not done.flags.writeable
-    views = 8 if view is CsiMode.LAST_KNOWN else 1
-    assert len(kernel_nodes(strategy, view)) * views == states
+    nodes = kernel_nodes(strategy, view)
+    assert len(nodes) == states
+    assert nodes[0] == Node(Phase.TRANSMISSION_1)
+    if view is CsiMode.LAST_KNOWN and strategy not in (Strategy.CR, Strategy.CR_NC):
+        # only CR reads the view: the others walk their previous-slot kernel
+        prev_nxt, prev_done = kernel(strategy, convention)
+        assert np.array_equal(nxt, prev_nxt) and np.array_equal(done, prev_done)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.CR, Strategy.CR_NC], ids=lambda s: s.value)
+@pytest.mark.parametrize("convention", list(XorConvention), ids=lambda c: c.value)
+def test_last_known_kernel_pairs_with_slot_replay(strategy, convention):
+    """BFS over (phase, ARQ bits, last-known view) paired with a kernel
+    state, from a run's start: (T0, no bits, nothing observed) with state 0.
+    On every channel, the slot replayed through policy_action / apply_slot /
+    observe completes a round exactly where the kernel does, and every pair
+    reached names the same phase, bits and, in retransmission, view."""
+    nodes = kernel_nodes(strategy, CsiMode.LAST_KNOWN)
+    nxt, done = (tab.tolist() for tab in kernel(strategy, convention, CsiMode.LAST_KNOWN))
+    start = (Phase.TRANSMISSION_1, ArqState(), (None,) * len(LinkId), 0)
+    seen, frontier = {start}, [start]
+    while frontier:
+        phase, state, known, s = frontier.pop()
+        node = nodes[s]
+        assert node.kind is phase, (node, state)
+        if phase is Phase.TRANSMISSION_2:
+            assert node.a == (state.ps1 << 1) | state.rs1, (node, state)
+        if phase is Phase.RETRANSMISSION:
+            assert None not in known
+            view = 0
+            for link, bit in zip(LinkId, known):
+                view = with_link_bit(view, link, bit)
+            assert (node.b, node.view) == (state.b_index, view), (node, state, known)
+        for chan in range(8):
+            ctx = PolicyContext(phase=phase)
+            for link, bit in zip(LinkId, known):
+                if bit is not None:
+                    ctx.observe(link, bit)
+            out = apply_slot(state, policy_action(strategy, state, ctx), chan, convention)
+            for link, bit in out.observed:
+                ctx.observe(link, bit)
+            assert done[s][chan] == out.state.complete, (node, known, chan)
+            if out.state.complete:
+                phase_to, state_to = Phase.TRANSMISSION_1, ArqState()
+            elif phase is Phase.TRANSMISSION_1:
+                phase_to, state_to = Phase.TRANSMISSION_2, out.state
+            else:
+                phase_to, state_to = Phase.RETRANSMISSION, out.state
+            pair = (phase_to, state_to, tuple(ctx.last_known.get(link) for link in LinkId),
+                    nxt[s][chan])
+            if pair not in seen:
+                seen.add(pair)
+                frontier.append(pair)
 
