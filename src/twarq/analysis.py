@@ -21,16 +21,18 @@ T0, T1, R gives the structure
     [ PR0  0    PRR ],
 
 and the throughput is twice the stationary mass of the T0 block: two
-packets delivered per round, one round per T0 visit.  It is the long-run
-T0 share of a run started at sub-state 0, solved on the recurrent class
-that run settles in (see steady_state).
+packets delivered per round, one round per T0 visit, since the kernel
+enters T0 exactly when a round completes.  It is the long-run T0 share of
+a run started at sub-state 0, solved on the recurrent class that run
+settles in (see steady_state).
 
 The sub-states are the previous-slot nodes of protocol.kernel_nodes times
 the channel during the slot, m = node*8 + i.  The token t is the AR
 alternation bit on every row, or on the C rows of CR the choice cached from
-the channel the previous slot saw; RR keeps none.  That yields 8+32+96 = 136
-sub-states for RR and RR-NC, 8+32+192 = 232 for AR and AR-NC, 176 for
-CR-NC and 184 for CR.
+the channel the previous slot saw; RR and SW-ARQ keep none.  That yields
+8+32+96 = 136 sub-states for SW-ARQ, RR and RR-NC, 8+32+192 = 232 for AR
+and AR-NC, 176 for CR-NC and 184 for CR.  SW-ARQ's chain reproduces its
+closed form 1 - P_ss, which analytic_many returns for it.
 
 analytic_many does not solve pi P = pi on the whole chain.  It cuts every
 run at its round starts, the T0 visits, where the ARQ bits are all zero
@@ -106,11 +108,6 @@ class SubStateSpace:
     nodes of protocol.kernel_nodes: T0, then T1, then R."""
 
     def __init__(self, strategy: Strategy):
-        if not strategy.cooperative:
-            raise ValueError(
-                "the stop-and-wait baseline has a closed-form throughput; "
-                "no sub-state chain is defined for it"
-            )
         self.strategy = strategy
         self.n_t0 = N_CHAN
         self.n_t1 = 4 * N_CHAN
@@ -134,7 +131,7 @@ class SubStateSpace:
 
 @lru_cache(maxsize=None)
 def enumerate_substates(strategy: Strategy) -> SubStateSpace:
-    """Full ordered sub-state space for a cooperative strategy.
+    """Full ordered sub-state space for a strategy.
 
     Built once per strategy; every caller shares the same instance.
     """
@@ -151,7 +148,7 @@ def transition_matrix(
     Each row has exactly eight nonzeros: P[m, 8*nxt[m] + j] = p_c(i, j) for
     sub-state m = node*8 + i, with nxt the kernel's next node.
     """
-    nxt, _ = kernel(space.strategy, xor_convention)
+    nxt = kernel(space.strategy, xor_convention)
     mat = _scatter(nxt, joint_matrix(model))
     _check_rows(mat.sum(axis=1))
     return mat
@@ -262,8 +259,8 @@ def aggregate_coarse(space: SubStateSpace, steady: SteadyState) -> tuple[float, 
 
 def sw_arq_throughput(p_ss: float) -> float:
     """Stop-and-wait baseline: 1 - P_ss, independent of channel correlation."""
-    if not 0.0 <= p_ss < 1.0:
-        raise ValueError(f"direct-link outage probability must be in [0, 1), got {p_ss}")
+    if not 0.0 <= p_ss <= 1.0:
+        raise ValueError(f"direct-link outage probability must be in [0, 1], got {p_ss}")
     return 1.0 - p_ss
 
 
@@ -358,7 +355,7 @@ def _components(step: np.ndarray) -> list[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _plan(strategy: Strategy, convention: XorConvention, support: bytes) -> _Plan:
-    nxt, _ = kernel(strategy, convention)
+    nxt = kernel(strategy, convention)
     n_nodes = nxt.shape[0]
     pattern = np.frombuffer(support, dtype=bool).reshape(N_CHAN, N_CHAN)
     cls = _closed_class(_scatter(nxt, pattern.astype(float)))

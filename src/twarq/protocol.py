@@ -12,31 +12,32 @@ by the relay".  b = 12..15 (both delivered) never occurs in retransmission.
 Some rows fix the transmitter; the rows marked C leave the choice between
 the relay and the original source to the strategy:
 
-    b   ps rs    network-coded      plain
-    0   00 00    S1 -> p1           S1 -> p1
-    1   00 01    S1 -> p1           S1 -> p1
-    2   00 10    C  -> p1           C  -> p1
-    3   00 11    R  -> p1 xor p2    C  -> p1
-    4   01 00    S1 -> p1           S1 -> p1
-    5   01 01    S1 -> p1           S1 -> p1
-    6   01 10    C  -> p1           C  -> p1
-    7   01 11    C  -> p1           C  -> p1
-    8   10 00    S2 -> p2           S2 -> p2
-    9   10 01    C  -> p2           C  -> p2
-    10  10 10    S2 -> p2           S2 -> p2
-    11  10 11    C  -> p2           C  -> p2
+    b   ps rs    network-coded      plain       stop-and-wait
+    0   00 00    S1 -> p1           S1 -> p1    S1 -> p1
+    1   00 01    S1 -> p1           S1 -> p1    S1 -> p1
+    2   00 10    C  -> p1           C  -> p1    S1 -> p1
+    3   00 11    R  -> p1 xor p2    C  -> p1    S1 -> p1
+    4   01 00    S1 -> p1           S1 -> p1    S1 -> p1
+    5   01 01    S1 -> p1           S1 -> p1    S1 -> p1
+    6   01 10    C  -> p1           C  -> p1    S1 -> p1
+    7   01 11    C  -> p1           C  -> p1    S1 -> p1
+    8   10 00    S2 -> p2           S2 -> p2    S2 -> p2
+    9   10 01    C  -> p2           C  -> p2    S2 -> p2
+    10  10 10    S2 -> p2           S2 -> p2    S2 -> p2
+    11  10 11    C  -> p2           C  -> p2    S2 -> p2
 
 Strategies: RR always resolves C to the relay; AR alternates relay/source via
 a one-bit token that flips on every executed C row; CR picks the source when
 the feedback-observed channel state says the direct link was up while the
 relay link toward the packet's destination was down, otherwise the relay.
 The *-NC variants use the xor broadcast row above, the plain variants treat
-b = 3 as a C row.  SW_ARQ ignores the relay entirely and just repeats the
-missing packet over the direct link.
+b = 3 as a C row.  SW_ARQ, the stop-and-wait baseline, has no C rows: it
+ignores the relay and repeats the missing packet over the direct link, p1
+first.
 
-Both engines walk one table, kernel(strategy, convention, view) -> (nxt,
-done), built by running the one-slot rules above on every (state, joint
-channel) pair; the state carries phase, token and view.  A state is a node:
+Both engines walk one table, kernel(strategy, convention, view) -> nxt,
+built by running the one-slot rules above on every (state, joint channel)
+pair; the state carries phase, token and view.  A state is a node:
 
     T0             first slot of a round (S1 sends p1)
     T1(a)          a = dec[ps1, rs1] left by the first slot, a = 0..3
@@ -52,7 +53,8 @@ channel, fixes the CR choice.  On a C row the token names the transmitter:
 the links as feedback last showed them, sits on R nodes only: a round's
 first two slots observe all three links before a C row reads it.  So T0 is
 state 0 of every kernel.  nxt[s, c] is the state after a slot in state s
-under joint channel c, and done[s, c] marks a completed round.
+under joint channel c, and a round completes exactly when nxt returns to
+T0: nxt[s, c] == 0.
 """
 
 from __future__ import annotations
@@ -102,10 +104,6 @@ class Strategy(enum.Enum):
     @property
     def network_coded(self) -> bool:
         return self in (Strategy.RR_NC, Strategy.AR_NC, Strategy.CR_NC)
-
-    @property
-    def cooperative(self) -> bool:
-        return self is not Strategy.SW_ARQ
 
     @property
     def reads_csi(self) -> bool:
@@ -241,7 +239,7 @@ class PolicyContext:
 
 
 # Retransmission table, b -> (fixed transmitter or None for C, payload).
-# The two variants differ only in row 3.
+# The two cooperative variants differ only in row 3.
 _ROWS_NC: dict[int, tuple[NodeId | None, Payload]] = {
     0: (NodeId.S1, Payload.P1),
     1: (NodeId.S1, Payload.P1),
@@ -258,16 +256,17 @@ _ROWS_NC: dict[int, tuple[NodeId | None, Payload]] = {
 }
 _ROWS_PLAIN = dict(_ROWS_NC)
 _ROWS_PLAIN[3] = (None, Payload.P1)
+_ROWS_SW = {b: (NodeId.S1, Payload.P1) if b < 8 else (NodeId.S2, Payload.P2) for b in range(12)}
 
 
 def _table(strategy: Strategy) -> dict[int, tuple[NodeId | None, Payload]]:
+    if strategy is Strategy.SW_ARQ:
+        return _ROWS_SW
     return _ROWS_NC if strategy.network_coded else _ROWS_PLAIN
 
 
 def row_designates_c(strategy: Strategy, b: int) -> bool:
     """Whether retransmission row b leaves the transmitter choice to the strategy."""
-    if strategy is Strategy.SW_ARQ:
-        return False
     return _table(strategy)[b][0] is None
 
 
@@ -322,13 +321,6 @@ def policy_action(strategy: Strategy, state: ArqState, ctx: PolicyContext) -> Ac
         return Action(NodeId.S2, Payload.P2)
     if state.complete:
         raise ProtocolError("retransmission requested but the round is complete")
-
-    if strategy is Strategy.SW_ARQ:
-        # Relay-blind repeat of whichever packet is still missing, p1 first.
-        if state.ps1 == 0:
-            return Action(NodeId.S1, Payload.P1)
-        return Action(NodeId.S2, Payload.P2)
-
     fixed, payload = _table(strategy)[state.b_index]
     if fixed is not None:
         return Action(fixed, payload)
@@ -421,9 +413,10 @@ def kernel(
     strategy: Strategy,
     convention: XorConvention = XorConvention.SAME_INDEX,
     view: CsiMode = CsiMode.PREV_SLOT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (nxt, done) tables of shape (states, 8) over (state, joint
-    channel); the states are those of `kernel_nodes`, T0 first.
+) -> np.ndarray:
+    """Read-only nxt table of shape (states, 8) over (state, joint channel):
+    the state after the slot.  The states are those of `kernel_nodes`, T0
+    first, and nxt is 0, T0, exactly after the slot that completes a round.
 
     The next state's token is the AR alternation bit advanced past the slot,
     or, under PREV_SLOT, the CR choice for its row made from the slot's
@@ -437,7 +430,6 @@ def kernel(
     tokened, c_set = _tokened_rows(strategy, view), c_rows(strategy)
     keeps_view = strategy.reads_csi and view is CsiMode.LAST_KNOWN
     nxt = np.empty((len(nodes), 8), dtype=np.intp)
-    done = np.zeros(nxt.shape, dtype=bool)
     for k, node in enumerate(nodes):
         if node.kind is Phase.RETRANSMISSION:
             state = ArqState.from_b_index(node.b)
@@ -456,7 +448,6 @@ def kernel(
                 action = policy_action(strategy, state, ctx)
             out = apply_slot(state, action, chan, convention)
             if out.state.complete:
-                done[k, chan] = True
                 target = Node(Phase.TRANSMISSION_1)
             elif node.kind is Phase.TRANSMISSION_1:
                 target = Node(Phase.TRANSMISSION_2, a=(out.state.ps1 << 1) | out.state.rs1)
@@ -474,5 +465,4 @@ def kernel(
                 target = Node(Phase.RETRANSMISSION, b=b, token=token, view=seen)
             nxt[k, chan] = index[target]
     nxt.setflags(write=False)
-    done.setflags(write=False)
-    return nxt, done
+    return nxt

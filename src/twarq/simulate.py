@@ -156,19 +156,23 @@ def _fsm(keys: tuple[tuple[Strategy, XorConvention, CsiMode], ...]) -> _Machine:
     whose bit t marks a round completed in slot t (uint8), so that the
     flags of two consecutive steps make one little-endian byte of the round
     record.  They are the kernels composed into a two-slot step, that step
-    composed with itself, and the rows put in key order.
+    composed with itself, and the rows put in key order.  A slot completes
+    a round exactly when its kernel steps to T0, so the one-slot flags are
+    the kernel entries equal to 0, read before the states are shifted.
 
     start[f] is the state of FSM f's T0, kernel state 0, where every run
     of it starts.
     """
     kernels = [kernel(*key) for key in keys]
-    base = np.cumsum([0] + [nxt.shape[0] for nxt, _ in kernels[:-1]]).tolist()
-    nxt = np.concatenate([nxt + b for (nxt, _), b in zip(kernels, base)])
-    done = np.concatenate([done for _, done in kernels])
+    sizes = [nxt.shape[0] for nxt in kernels]
+    base = np.cumsum([0] + sizes[:-1])
+    nxt = np.concatenate(kernels)
+    done = nxt == 0
+    nxt += np.repeat(base, sizes)[:, None]
     nxt, done = nxt.T.astype(np.uint16), done.T.astype(np.uint8)  # [channel, state]
     nxt, done = _then(*_then(nxt, done, 1), 2)  # row c3*512 + c2*64 + c1*8 + c0
     row = sum(_slot_channel(np.arange(1 << 12), t) << 3 * t for t in range(4))
-    tables = _Machine(np.array(base), nxt.take(row, axis=0), done.take(row, axis=0))
+    tables = _Machine(base, nxt.take(row, axis=0), done.take(row, axis=0))
     for tab in tables:
         tab.setflags(write=False)
     return tables
@@ -314,18 +318,6 @@ def _channel_blocks(
     """The walk's step keys for the horizon, _BLOCK slots at a time."""
     for words, n in _link_blocks(model, n_slots, seed):
         yield _step_keys(words, n)
-
-
-def _channel_path(model: JointChannelModel, n_slots: int, seed: int) -> np.ndarray:
-    """Joint channel indices (s1r << 2) | (s2r << 1) | s1s2 for the whole
-    horizon, one int8 per slot."""
-    path = np.zeros(n_slots, dtype=np.int8)
-    for lo, (words, n) in zip(range(0, n_slots, _BLOCK), _link_blocks(model, n_slots, seed)):
-        block = path[lo : lo + n]
-        for link in words:
-            block <<= 1
-            block |= np.unpackbits(link.view(np.uint8), count=n, bitorder="little").view(np.int8)
-    return path
 
 
 def _slots_by_rank(record: _Record, ranks: np.ndarray) -> np.ndarray:

@@ -11,9 +11,11 @@ oracle is damped power iteration, and the chain oracle solves the
 sub-state chain at 40 digits by GTH state reduction.  The link sampler steps
 the two-state chain scalar-wise; for long horizons a second one
 forward-fills its forced slots by a running maximum over one key per slot.
-The protocol oracle replays the state machine slot by slot through the
-per-slot protocol API, not through protocol.kernel, and keeps the token and
-round state itself, so it checks the kernel's carry as well as its slots.
+The joint path draws each link of a seed in one call over the horizon, so
+it shares no block carry with the simulator.  The protocol oracle replays
+the state machine slot by slot through the per-slot protocol API, not
+through protocol.kernel, and keeps the token and round state itself, so it
+checks the kernel's carry as well as its slots.
 The walk oracle does read the kernel, one slot at a time: it checks the
 chunked data-parallel walk and its stitch, not the table the walk reads.
 The round statistics oracle sums per-round lengths batch by batch, where
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ive
 
-from twarq.channel import GilbertElliottParams
+from twarq.channel import GilbertElliottParams, JointChannelModel, LinkId, sample_link_path
 from twarq.protocol import (
     ArqState,
     Phase,
@@ -42,7 +44,7 @@ from twarq.protocol import (
     policy_action,
 )
 from twarq.protocol import CsiMode, kernel
-from twarq.simulate import SimConfig, _channel_path
+from twarq.simulate import SimConfig
 
 _CR_FAMILY = (Strategy.CR, Strategy.CR_NC)
 _AR_FAMILY = (Strategy.AR, Strategy.AR_NC)
@@ -179,6 +181,20 @@ def link_path_running_max(ge: GilbertElliottParams, n_slots: int, rng,
     return path
 
 
+def joint_path(model: JointChannelModel, n_slots: int, seed: int) -> np.ndarray:
+    """Joint channel indices (s1r << 2) | (s2r << 1) | s1s2 of a run's
+    seed, one int8 per slot.  Each link is drawn in one call over the whole
+    horizon by sample_link_path, from its own PCG64 stream spawned from the
+    seed in LinkId order, as the simulator spawns them; no block carry."""
+    children = np.random.SeedSequence(seed).spawn(4)  # 3 links + 1 spare
+    path = np.zeros(n_slots, dtype=np.int8)
+    for link, child in zip(LinkId, children):
+        path <<= 1
+        path |= sample_link_path(model.link(link), n_slots,
+                                 np.random.Generator(np.random.PCG64(child)))
+    return path
+
+
 def simulate_reference(config: SimConfig) -> tuple[int, list[int]]:
     """Slot-by-slot protocol replay on the same channel trajectory run() uses.
 
@@ -190,7 +206,7 @@ def simulate_reference(config: SimConfig) -> tuple[int, list[int]]:
     one, or the feedback observed so far (LAST_KNOWN), and each round starts
     at phase TRANSMISSION_1 with token 0.
     """
-    path = _channel_path(config.model, config.n_slots, config.seed)
+    path = joint_path(config.model, config.n_slots, config.seed)
     strategy = config.strategy
     state = ArqState()
     ctx = PolicyContext()
@@ -233,13 +249,13 @@ def walk_reference(
 ) -> np.ndarray:
     """Completion slots of the sequential kernel walk over a channel path,
     started at T0, state 0 of every kernel."""
-    nxt, done = (tab.tolist() for tab in kernel(strategy, convention, mode))
+    nxt = kernel(strategy, convention, mode).tolist()
     state = 0
     completions = []
     for k, c in enumerate(path.tolist()):
-        if done[state][c]:
-            completions.append(k)
         state = nxt[state][c]
+        if state == 0:  # a round completes exactly when T0 is entered
+            completions.append(k)
     return np.array(completions, dtype=np.int64)
 
 
@@ -275,7 +291,7 @@ def chain_throughput_mp(strategy: Strategy, model, convention: XorConvention,
     Heyman, Operations Research 33(5), 1985); the stationary law then
     follows by back-substitution, and eta is twice its T0 mass.
     """
-    nxt = kernel(strategy, convention)[0].tolist()
+    nxt = kernel(strategy, convention).tolist()
     with mpmath.workdps(dps):
         links = []
         for ge in (model.s1r, model.s2r, model.s1s2):

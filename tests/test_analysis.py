@@ -26,7 +26,7 @@ from twarq.protocol import CsiMode, Node, Phase, Strategy, XorConvention, kernel
 
 from _oracles import chain_throughput_mp, stationary_power_iteration
 
-COOPERATIVE = [s for s in Strategy if s.cooperative]
+COOPERATIVE = [s for s in Strategy if s is not Strategy.SW_ARQ]
 
 
 def model_for(pss: float, ratio_db: float, rho: float) -> JointChannelModel:
@@ -48,6 +48,7 @@ PARAM_POINTS = [
 
 def test_substate_counts():
     expected = {
+        Strategy.SW_ARQ: (136, 96),
         Strategy.RR: (136, 96),
         Strategy.RR_NC: (136, 96),
         Strategy.AR: (232, 192),
@@ -81,9 +82,15 @@ def test_substate_order_t0_t1_r():
     assert substate(Strategy.RR_NC, 40)[0].kind is Phase.RETRANSMISSION
 
 
-def test_sw_arq_has_no_chain():
-    with pytest.raises(ValueError):
-        enumerate_substates(Strategy.SW_ARQ)
+@pytest.mark.parametrize("rho", [0.0, 0.9, 0.999, 1 - 1e-7])
+def test_sw_arq_chain_matches_closed_form(rho):
+    """SW-ARQ's rows make an ordinary chain of the shared kernel, whose
+    dense solve gives the closed form 1 - P_ss."""
+    space = enumerate_substates(Strategy.SW_ARQ)
+    assert len(space) == 136
+    for pss in np.linspace(0.05, 0.95, 19):
+        steady = steady_state(transition_matrix(space, model_for(pss, 10.0, rho)))
+        assert abs(throughput(space, steady) - sw_arq_throughput(pss)) <= 1e-12, pss
 
 
 def test_tokened_rows_match_c_rows():
@@ -262,8 +269,9 @@ def test_throughput_stays_in_unit_interval():
 def test_sw_arq_formula_exact():
     assert sw_arq_throughput(0.3) == 0.7
     assert sw_arq_throughput(0.0) == 1.0
+    assert sw_arq_throughput(1.0) == 0.0
     with pytest.raises(ValueError):
-        sw_arq_throughput(1.0)
+        sw_arq_throughput(1.1)
     with pytest.raises(ValueError):
         sw_arq_throughput(-0.1)
 
@@ -428,7 +436,7 @@ def test_round_components_are_small(view, bound):
     row, or under last-known two views of one CR row."""
     for strat in COOPERATIVE:
         for convention in CONVENTIONS:
-            nxt, _ = kernel(strat, convention, view)
+            nxt = kernel(strat, convention, view)
             step = np.zeros((nxt.shape[0],) * 2, dtype=bool)
             step[np.repeat(np.arange(nxt.shape[0]), 8), nxt.ravel()] = True
             step[:, 0] = False

@@ -21,10 +21,10 @@ from twarq.channel import (
     sample_link_words,
     stationary_link,
 )
-from twarq.simulate import _channel_path
 
 from _oracles import (
     good_to_bad_mp,
+    joint_path,
     link_path_running_max,
     link_path_scalar,
     marcum_q_mp,
@@ -342,12 +342,13 @@ def test_joint_memoryless_rows_identical():
 
 
 def test_channel_path_empirical_distribution():
-    """The joint transitions of the path the engines walk follow joint_matrix."""
+    """The joint transitions of a seed's path, drawn one link at a time as
+    the engines draw it, follow joint_matrix."""
     model = JointChannelModel(
         ge_transitions(0.3, 0.6), ge_transitions(0.15, 0.2), ge_transitions(0.5, 0.8)
     )
     mat = joint_matrix(model)
-    path = _channel_path(model, 1_000_000, 1234).astype(np.int64)
+    path = joint_path(model, 1_000_000, 1234).astype(np.int64)
     counts = np.bincount(8 * path[:-1] + path[1:], minlength=64).reshape(8, 8)
     for i in range(8):
         n = counts[i].sum()

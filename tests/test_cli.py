@@ -82,6 +82,22 @@ def test_analytic_pinned_bad_relays(capsys):
     assert row["eta_analytic"] == "0.367879441171"
 
 
+@pytest.mark.parametrize("argv", [
+    ("analytic",),
+    ("simulate", "--engines", "both", "--n-slots", "1000", "--seed", "1"),
+], ids=["analytic", "both"])
+def test_sw_arq_over_a_direct_link_always_in_outage(capsys, argv):
+    """At -20 dB the direct link's outage rounds to 1: stop-and-wait
+    delivers nothing, and both engines say so."""
+    code, out = run_cli(capsys, *argv, "--strategy", "sw-arq", "--fs-db", "-20",
+                        "--rho", "0.5")
+    assert code == 0
+    (row,) = rows_of(out)
+    assert row["pss"] == "1" and row["eta_analytic"] == "0"
+    if "both" in argv:
+        assert row["eta_sim"] == "0"
+
+
 def test_simulate_perfect_point(capsys):
     code, out = run_cli(
         capsys, "simulate", "--strategy", "rr", "--fs-db", "120",

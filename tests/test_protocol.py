@@ -24,7 +24,7 @@ from twarq.protocol import (
     resolve_c,
 )
 
-COOPERATIVE = [s for s in Strategy if s.cooperative]
+COOPERATIVE = [s for s in Strategy if s is not Strategy.SW_ARQ]
 ALL_STRATEGIES = list(Strategy)
 
 
@@ -47,7 +47,7 @@ def _retx(b, token=None):
 def _next_node(strategy, node, chan, view=CsiMode.PREV_SLOT):
     """The kernel node after one slot in `node` under joint channel `chan`."""
     nodes = kernel_nodes(strategy, view)
-    nxt, _ = kernel(strategy, XorConvention.SAME_INDEX, view)
+    nxt = kernel(strategy, XorConvention.SAME_INDEX, view)
     return nodes[nxt[nodes.index(node), chan]]
 
 
@@ -368,8 +368,8 @@ def test_reachable_states_safe_by_exhaustive_walk():
 # ---------------------------------------------------------------------------
 
 PREV_STATES = {
-    Strategy.RR: 17, Strategy.RR_NC: 17, Strategy.AR: 29, Strategy.AR_NC: 29,
-    Strategy.CR: 23, Strategy.CR_NC: 22,
+    Strategy.SW_ARQ: 17, Strategy.RR: 17, Strategy.RR_NC: 17,
+    Strategy.AR: 29, Strategy.AR_NC: 29, Strategy.CR: 23, Strategy.CR_NC: 22,
 }
 KERNEL_STATES = (
     [(s, CsiMode.PREV_SLOT, n) for s, n in PREV_STATES.items()]
@@ -383,17 +383,16 @@ KERNEL_STATES = (
                          ids=lambda v: getattr(v, "value", v))
 @pytest.mark.parametrize("convention", list(XorConvention), ids=lambda c: c.value)
 def test_kernel_state_counts(strategy, view, states, convention):
-    nxt, done = kernel(strategy, convention, view)
-    assert nxt.shape == done.shape == (states, 8)
+    nxt = kernel(strategy, convention, view)
+    assert nxt.shape == (states, 8)
     assert nxt.min() >= 0 and nxt.max() < states
-    assert not nxt.flags.writeable and not done.flags.writeable
+    assert not nxt.flags.writeable
     nodes = kernel_nodes(strategy, view)
     assert len(nodes) == states
     assert nodes[0] == Node(Phase.TRANSMISSION_1)
     if view is CsiMode.LAST_KNOWN and strategy not in (Strategy.CR, Strategy.CR_NC):
         # only CR reads the view: the others walk their previous-slot kernel
-        prev_nxt, prev_done = kernel(strategy, convention)
-        assert np.array_equal(nxt, prev_nxt) and np.array_equal(done, prev_done)
+        assert np.array_equal(nxt, kernel(strategy, convention))
 
 
 @pytest.mark.parametrize("strategy", [Strategy.CR, Strategy.CR_NC], ids=lambda s: s.value)
@@ -405,7 +404,7 @@ def test_last_known_kernel_pairs_with_slot_replay(strategy, convention):
     observe completes a round exactly where the kernel does, and every pair
     reached names the same phase, bits and, in retransmission, view."""
     nodes = kernel_nodes(strategy, CsiMode.LAST_KNOWN)
-    nxt, done = (tab.tolist() for tab in kernel(strategy, convention, CsiMode.LAST_KNOWN))
+    nxt = kernel(strategy, convention, CsiMode.LAST_KNOWN).tolist()
     start = (Phase.TRANSMISSION_1, ArqState(), (None,) * len(LinkId), 0)
     seen, frontier = {start}, [start]
     while frontier:
@@ -428,7 +427,7 @@ def test_last_known_kernel_pairs_with_slot_replay(strategy, convention):
             out = apply_slot(state, policy_action(strategy, state, ctx), chan, convention)
             for link, bit in out.observed:
                 ctx.observe(link, bit)
-            assert done[s][chan] == out.state.complete, (node, known, chan)
+            assert (nxt[s][chan] == 0) == out.state.complete, (node, known, chan)
             if out.state.complete:
                 phase_to, state_to = Phase.TRANSMISSION_1, ArqState()
             elif phase is Phase.TRANSMISSION_1:

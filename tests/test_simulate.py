@@ -24,7 +24,7 @@ from twarq.simulate import (
     _COUNTED,
     CsiMode,
     SimConfig,
-    _channel_path,
+    _channel_blocks,
     _fsm,
     _record,
     _round_stats,
@@ -38,13 +38,14 @@ from twarq.simulate import (
 )
 
 from _oracles import (
+    joint_path,
     link_path_scalar,
     round_stats_from_lengths,
     simulate_reference,
     walk_reference,
 )
 
-COOPERATIVE = [s for s in Strategy if s.cooperative]
+COOPERATIVE = [s for s in Strategy if s is not Strategy.SW_ARQ]
 
 
 def model_for(pss, ratio_db, rho):
@@ -177,7 +178,7 @@ WALK_HORIZONS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
 
 @pytest.fixture(scope="module")
 def walk_path():
-    return _channel_path(model_for(0.5, 10.0, 0.99), max(WALK_HORIZONS), seed=21)
+    return joint_path(model_for(0.5, 10.0, 0.99), max(WALK_HORIZONS), seed=21)
 
 
 def _block_keys(path):
@@ -229,7 +230,8 @@ def test_two_slot_tables_are_two_single_steps(strategy, convention, mode):
     """For every (state, c1, c2), the two-slot step that `_fsm` composes
     with itself lands where two kernel steps do, and its flag's bit 0 marks
     a round completed in the first slot, bit 1 one completed in the second."""
-    nxt, done = kernel(strategy, convention, mode)
+    nxt = kernel(strategy, convention, mode)
+    done = nxt == 0
     nxt2, done2 = (tab.tolist() for tab in _then(nxt.T.astype(np.uint16),
                                                  done.T.astype(np.uint8), 1))
     nxt, done = nxt.tolist(), done.tolist()
@@ -249,7 +251,8 @@ def test_four_slot_tables_are_four_single_steps(strategy, convention, mode):
     the walk keys it from the links' bits, the four-slot step lands where
     four kernel steps do, and bit t of its flag nibble marks a round
     completed in slot t."""
-    nxt, done = kernel(strategy, convention, mode)
+    nxt = kernel(strategy, convention, mode)
+    done = nxt == 0
     fsm = _fsm(((strategy, convention, mode),))
     assert fsm.nxt4.shape == fsm.done4.shape == (4096, nxt.shape[0])
     assert (fsm.nxt4.dtype, fsm.done4.dtype) == (np.uint16, np.uint8)
@@ -333,6 +336,10 @@ def test_pinned_trajectories(strategy, mode, rounds):
 
 
 def test_block_streamed_path_equals_one_shot_draw():
+    """The step keys `_channel_blocks` streams, each link's state carried
+    across block edges, are those of one scalar draw over the horizon.  A
+    block edge whose first slot is drawn afresh often matches by chance (it
+    does at seed 8), so more seeds check against the one-shot joint path."""
     model = model_for(0.4, 10.0, 0.99)
     n = 2 * _BLOCK + 5
     children = np.random.SeedSequence(8).spawn(4)
@@ -341,7 +348,11 @@ def test_block_streamed_path_equals_one_shot_draw():
         for link, child in zip(LinkId, children)
     ]
     expected = (bits[0] << 2) | (bits[1] << 1) | bits[2]
-    assert np.array_equal(_channel_path(model, n, seed=8), expected)
+    streamed = np.concatenate(list(_channel_blocks(model, n, seed=8)))
+    assert np.array_equal(streamed, _block_keys(expected))
+    for seed in range(9, 17):
+        streamed = np.concatenate(list(_channel_blocks(model, n, seed)))
+        assert np.array_equal(streamed, _block_keys(joint_path(model, n, seed))), seed
 
 
 def _traced_growth_per_slot(cfg, horizons):
@@ -464,7 +475,7 @@ def test_round_stats_equal_per_round_oracle(rounds):
     standard error and mean that the per-round lengths give, around the
     batch count and with a trailing incomplete round."""
     model = model_for(0.4, 10.0, 0.99)
-    done = walk_reference(_channel_path(model, 5000, seed=3),
+    done = walk_reference(joint_path(model, 5000, seed=3),
                           Strategy.AR_NC, XorConvention.SAME_INDEX, CsiMode.PREV_SLOT)
     n_slots = int(done[rounds])  # rounds 0..rounds-1 complete before this slot
     stats = run(SimConfig(Strategy.AR_NC, model, n_slots, seed=3))
@@ -473,7 +484,7 @@ def test_round_stats_equal_per_round_oracle(rounds):
 
 def test_round_stats_equal_per_round_oracle_long():
     cfg = SimConfig(Strategy.RR_NC, model_for(0.327, 10.0, 0.99), 2_000_000, 12345)
-    done = _walk_in_blocks(_channel_path(cfg.model, cfg.n_slots, cfg.seed),
+    done = _walk_in_blocks(joint_path(cfg.model, cfg.n_slots, cfg.seed),
                            (Strategy.RR_NC, XorConvention.SAME_INDEX, CsiMode.PREV_SLOT))
     assert 750_000 <= done.shape[0] <= 900_000
     _assert_stats_match_oracle(run(cfg), done)
@@ -486,7 +497,7 @@ def test_round_stats_equal_per_round_oracle_long():
 
 def test_occupancy_matches_marginal_memoryless():
     model = model_for(0.3, 10.0, 0.0)
-    path = _channel_path(model, 1_000_000, seed=4)
+    path = joint_path(model, 1_000_000, seed=4)
     direct_bad = np.mean((path & 1) == 0)
     sigma = math.sqrt(0.3 * 0.7 / 1_000_000)
     assert abs(direct_bad - 0.3) <= 4.0 * sigma
@@ -499,7 +510,7 @@ def test_occupancy_matches_marginal_correlated():
     ge = model.s1s2
     lam = 1.0 - ge.p_gb - ge.p_bg
     n = 1_000_000
-    path = _channel_path(model, n, seed=4)
+    path = joint_path(model, n, seed=4)
     direct_bad = np.mean((path & 1) == 0)
     sigma = math.sqrt(0.3 * 0.7 / n * (1.0 + lam) / (1.0 - lam))
     assert abs(direct_bad - 0.3) <= 4.0 * sigma
@@ -516,7 +527,8 @@ def _direct_link_first_slot(model, seed):
 def test_initial_state_stationary():
     model = model_for(0.4, 10.0, 0.999)
     for seed in range(200):
-        assert _direct_link_first_slot(model, seed) == _channel_path(model, 1, seed)[0] & 1
+        key = next(_channel_blocks(model, 1, seed))[0]  # bit 0: the direct link in slot 0
+        assert _direct_link_first_slot(model, seed) == key & 1
     bad = 0
     trials = 40_000
     for seed in range(trials):
