@@ -32,7 +32,8 @@ alternation bit on every row, or on the C rows of CR the choice cached from
 the channel the previous slot saw; RR and SW-ARQ keep none.  That yields
 8+32+96 = 136 sub-states for SW-ARQ, RR and RR-NC, 8+32+192 = 232 for AR
 and AR-NC, 176 for CR-NC and 184 for CR.  SW-ARQ's chain reproduces its
-closed form 1 - P_ss, which analytic_many returns for it.
+closed form 1 - P_ss, which analytic_many returns for it as the direct
+link's stationary Good share, so nothing cancels as P_ss nears 1.
 
 analytic_many does not solve pi P = pi on the whole chain.  It cuts every
 run at its round starts, the T0 visits, where the ARQ bits are all zero
@@ -78,7 +79,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import JointChannelModel, joint_matrices, joint_matrix, stationary_link
+from .channel import JointChannelModel, joint_matrices, stationary_link
 from .exceptions import NumericalError
 from .protocol import Strategy, XorConvention, kernel, kernel_nodes
 
@@ -149,7 +150,7 @@ def transition_matrix(
     sub-state m = node*8 + i, with nxt the kernel's next node.
     """
     nxt = kernel(space.strategy, xor_convention)
-    mat = _scatter(nxt, joint_matrix(model))
+    mat = _scatter(nxt, joint_matrices([model])[0])
     _check_rows(mat.sum(axis=1))
     return mat
 
@@ -163,7 +164,7 @@ def _scatter(nxt: np.ndarray, p_c: np.ndarray) -> np.ndarray:
 
 
 def _check_rows(rowsums: np.ndarray) -> None:
-    rowsum_err = np.abs(rowsums - 1.0).max()
+    rowsum_err = np.abs(rowsums - 1.0).max(initial=0.0)
     if not rowsum_err <= 1e-12:  # NaN fails too
         raise NumericalError(f"transition matrix rows off stochastic by {rowsum_err}")
 
@@ -287,7 +288,7 @@ def analytic_many(
     implies leaves a residual of pi P = pi above 1e-10 (or NaN).
     """
     if strategy is Strategy.SW_ARQ:
-        return np.array([sw_arq_throughput(stationary_link(m.s1s2)[0]) for m in models])
+        return np.array([stationary_link(m.s1s2)[1] for m in models])
     p_c = joint_matrices(models)
     _check_rows(p_c.sum(axis=2))
     eta = np.empty(len(p_c))

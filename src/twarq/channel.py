@@ -55,7 +55,6 @@ __all__ = [
     "fading_margin_from_outage",
     "ge_transitions",
     "joint_matrices",
-    "joint_matrix",
     "linear_to_db",
     "link_bit",
     "outage_probability",
@@ -214,11 +213,6 @@ class GilbertElliottParams:
         """2x2 row-stochastic matrix over states (Bad, Good)."""
         return np.array([[self.p_bb, self.p_bg], [self.p_gb, self.p_gg]])
 
-    def transition(self, cur: int, nxt: int) -> float:
-        """Probability of moving from state `cur` to state `nxt` (0=Bad, 1=Good)."""
-        p_good = self.p_bg if cur == BAD else self.p_gg
-        return p_good if nxt == GOOD else 1.0 - p_good
-
     @classmethod
     def always_good(cls) -> "GilbertElliottParams":
         return cls(p_gb=0.0, p_bg=1.0)
@@ -301,19 +295,13 @@ class JointChannelModel:
         return cls.from_outage(p_sr, p_sr, p_ss, rho)
 
 
-def joint_matrix(model: JointChannelModel) -> np.ndarray:
-    """Full 8x8 row-stochastic matrix of the joint channel chain.
-
-    The links fade independently, so it is the Kronecker product of the link
-    matrices, S1R outermost as in the joint index.
-    """
-    return joint_matrices([model])[0]
-
-
 def joint_matrices(models: Sequence[JointChannelModel]) -> np.ndarray:
-    """joint_matrix of every model, stacked to shape (len(models), 8, 8).
+    """The 8x8 row-stochastic matrix of each model's joint channel chain,
+    stacked to shape (len(models), 8, 8).
 
-    Entry (4i + 2k + m, 4j + 2l + n) is s1r[i, j] * s2r[k, l] * s1s2[m, n],
+    The links fade independently, so each is the Kronecker product of the
+    link matrices, S1R outermost as in the joint index: entry
+    (4i + 2k + m, 4j + 2l + n) is s1r[i, j] * s2r[k, l] * s1s2[m, n],
     multiplied in that order, as np.kron(np.kron(s1r, s2r), s1s2) does.
     """
     links = np.array([[model.link(link).matrix() for link in LinkId] for model in models])

@@ -151,8 +151,11 @@ def _emit(rows: list[str], out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

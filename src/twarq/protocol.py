@@ -60,7 +60,7 @@ T0: nxt[s, c] == 0.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -87,8 +87,6 @@ __all__ = [
     "kernel_nodes",
     "policy_action",
     "resolve_c",
-    "row_designates_c",
-    "row_payload",
 ]
 
 
@@ -213,29 +211,28 @@ class SlotOutcome:
 
 @dataclass
 class PolicyContext:
-    """One slot's scheduler input: phase, the alternation token, and the last
-    channel state each link was observed in.  Whoever walks the slots updates
-    it between them and starts each round at phase TRANSMISSION_1, token 0.
-
-    Links never observed yet are treated as Good, so the CR rule falls
-    through to its relay default.
+    """One slot's scheduler input: phase, the alternation token, and the
+    view, the joint channel index the CR rule reads.  Whoever walks the
+    slots updates it between them and starts each round at phase
+    TRANSMISSION_1, token 0.  The view starts all Good (7): a link never
+    observed yet counts as Good, so the CR rule falls through to its relay
+    default.
     """
 
     phase: Phase = Phase.TRANSMISSION_1
     token: int = 0
-    last_known: dict[LinkId, int] = field(default_factory=dict)
+    view: int = 7
 
     def observe(self, link: LinkId, state_bit: int) -> None:
-        self.last_known[link] = state_bit
+        self.view = with_link_bit(self.view, link, state_bit)
 
     def csi(self, link: LinkId) -> int:
-        return self.last_known.get(link, GOOD)
+        return link_bit(self.view, link)
 
     def set_csi_from_index(self, chan_index: int, slot: int | None = None) -> None:
-        """Overwrite the whole view from a joint channel index.  `slot` is
+        """Overwrite the whole view with a joint channel index.  `slot` is
         not read; the benchmark's protocol probe still passes one."""
-        for link in LinkId:
-            self.observe(link, link_bit(chan_index, link))
+        self.view = chan_index
 
 
 # Retransmission table, b -> (fixed transmitter or None for C, payload).
@@ -265,18 +262,9 @@ def _table(strategy: Strategy) -> dict[int, tuple[NodeId | None, Payload]]:
     return _ROWS_NC if strategy.network_coded else _ROWS_PLAIN
 
 
-def row_designates_c(strategy: Strategy, b: int) -> bool:
-    """Whether retransmission row b leaves the transmitter choice to the strategy."""
-    return _table(strategy)[b][0] is None
-
-
-def row_payload(strategy: Strategy, b: int) -> Payload:
-    return _table(strategy)[b][1]
-
-
 def c_rows(strategy: Strategy) -> tuple[int, ...]:
     """All rows whose transmitter is strategy-resolved, ascending."""
-    return tuple(b for b in range(12) if row_designates_c(strategy, b))
+    return tuple(b for b in range(12) if _table(strategy)[b][0] is None)
 
 
 _SOURCE_OF = {Payload.P1: NodeId.S1, Payload.P2: NodeId.S2}
@@ -296,7 +284,7 @@ def resolve_c(
     if packet not in _SOURCE_OF:
         raise ProtocolError(f"C rows never carry payload {packet}")
     b = state.b_index
-    if not (0 <= b <= 11) or not row_designates_c(strategy, b):
+    if not (0 <= b <= 11) or _table(strategy)[b][0] is not None:
         raise ProtocolError(f"row {b} of {strategy.value} does not designate C")
     rs_bit = state.rs1 if packet is Payload.P1 else state.rs2
     if rs_bit != 1:
@@ -427,7 +415,7 @@ def kernel(
     """
     nodes = kernel_nodes(strategy, view)
     index = {node: k for k, node in enumerate(nodes)}
-    tokened, c_set = _tokened_rows(strategy, view), c_rows(strategy)
+    rows, tokened, c_set = _table(strategy), _tokened_rows(strategy, view), c_rows(strategy)
     keeps_view = strategy.reads_csi and view is CsiMode.LAST_KNOWN
     nxt = np.empty((len(nodes), 8), dtype=np.intp)
     for k, node in enumerate(nodes):
@@ -438,10 +426,10 @@ def kernel(
             state = ArqState(ps1=a >> 1, rs1=a & 1)
         known = node.view if node.view is not None else with_link_bit(0, LinkId.S1R, state.rs1)
         for chan in range(8):
-            ctx = PolicyContext(phase=node.kind, token=node.token or 0)
-            ctx.set_csi_from_index(chan if node.view is None else node.view)
-            if node.token is not None and row_designates_c(strategy, node.b):
-                payload = row_payload(strategy, node.b)
+            ctx = PolicyContext(node.kind, node.token or 0,
+                                chan if node.view is None else node.view)
+            if node.token is not None and node.b in c_set:
+                payload = rows[node.b][1]
                 sender = _SOURCE_OF[payload] if node.token else NodeId.R
                 action = Action(sender, payload)
             else:
@@ -454,7 +442,7 @@ def kernel(
             else:
                 b, token, seen = out.state.b_index, None, None
                 if b in tokened and strategy.reads_csi:  # PREV_SLOT: ctx holds chan
-                    chosen = resolve_c(strategy, out.state, row_payload(strategy, b), ctx)
+                    chosen = resolve_c(strategy, out.state, rows[b][1], ctx)
                     token = int(chosen is not NodeId.R)
                 elif b in tokened:  # AR: the bit flips past every executed C row
                     token = ctx.token ^ (node.b in c_set)

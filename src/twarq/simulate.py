@@ -272,30 +272,6 @@ def _walk_block(keys: np.ndarray, state: np.ndarray,
     return flags[:, 0:m:2] | flags[:, 1:m:2] << 4, end
 
 
-def _link_blocks(
-    model: JointChannelModel, n_slots: int, seed: int
-) -> Iterator[tuple[list[np.ndarray], int]]:
-    """Each link's packed Good bits for the horizon (see
-    `sample_link_words`), in LinkId order, with the slots they hold:
-    _BLOCK slots at a time.
-
-    One PCG64 stream per link, spawned from the run seed and drawn in the
-    same order whatever the block size, so two runs with the same seed see
-    the same trajectory.
-    """
-    children = np.random.SeedSequence(seed).spawn(4)  # 3 links + 1 spare
-    links = [
-        (model.link(link), np.random.Generator(np.random.PCG64(child)))
-        for link, child in zip(LinkId, children)
-    ]
-    last = [None] * len(links)
-    for lo in range(0, n_slots, _BLOCK):
-        n = min(_BLOCK, n_slots - lo)
-        words = [sample_link_words(ge, n, rng, prev) for (ge, rng), prev in zip(links, last)]
-        last = [int(w[(n - 1) // 64]) >> (n - 1) % 64 & 1 for w in words]
-        yield words, n
-
-
 def _step_keys(words: Sequence[np.ndarray], n_slots: int) -> np.ndarray:
     """The walk's step keys over n_slots slots of the three links' packed
     bits, two per byte of slots: the low nibbles of the links' bytes, then
@@ -315,8 +291,23 @@ def _step_keys(words: Sequence[np.ndarray], n_slots: int) -> np.ndarray:
 def _channel_blocks(
     model: JointChannelModel, n_slots: int, seed: int
 ) -> Iterator[np.ndarray]:
-    """The walk's step keys for the horizon, _BLOCK slots at a time."""
-    for words, n in _link_blocks(model, n_slots, seed):
+    """The walk's step keys for the horizon, _BLOCK slots at a time, from
+    each link's packed Good bits (see `sample_link_words`).
+
+    One PCG64 stream per link, spawned from the run seed and drawn in the
+    same order whatever the block size, so two runs with the same seed see
+    the same trajectory.
+    """
+    children = np.random.SeedSequence(seed).spawn(4)  # 3 links + 1 spare
+    links = [
+        (model.link(link), np.random.Generator(np.random.PCG64(child)))
+        for link, child in zip(LinkId, children)
+    ]
+    last = [None] * len(links)
+    for lo in range(0, n_slots, _BLOCK):
+        n = min(_BLOCK, n_slots - lo)
+        words = [sample_link_words(ge, n, rng, prev) for (ge, rng), prev in zip(links, last)]
+        last = [int(w[(n - 1) // 64]) >> (n - 1) % 64 & 1 for w in words]
         yield _step_keys(words, n)
 
 

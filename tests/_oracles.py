@@ -7,10 +7,12 @@ of two Q values agreeing to 12 digits.  A second 40-digit p_gb oracle
 evaluates the channel module's cancellation-free integral with mpmath's own
 quadrature; it needs no cancellation, so it reaches outages near 1e-300,
 where the Q difference would need some 300 digits.  The stationary-law
-oracle is damped power iteration, and the chain oracle solves the
-sub-state chain at 40 digits by GTH state reduction.  The link sampler steps
-the two-state chain scalar-wise; for long horizons a second one
-forward-fills its forced slots by a running maximum over one key per slot.
+oracle is damped power iteration, the link step reads p_bg and p_gg
+without the link matrix the joint one is built from, and the chain oracle
+solves the sub-state chain at 40 digits by GTH state reduction.  The link
+sampler steps the two-state chain scalar-wise; for long horizons a second
+one forward-fills its forced slots by a running maximum over one key per
+slot.
 The joint path draws each link of a seed in one call over the horizon, so
 it shares no block carry with the simulator.  The protocol oracle replays
 the state machine slot by slot through the per-slot protocol API, not
@@ -132,6 +134,13 @@ def stationary_power_iteration(mat: np.ndarray, tol: float = 1e-14) -> np.ndarra
             return nxt
         pi = nxt
     raise RuntimeError("power iteration stalled")
+
+
+def link_transition(ge: GilbertElliottParams, cur: int, nxt: int) -> float:
+    """Probability that one link steps from state `cur` to state `nxt`
+    (0 Bad, 1 Good), read off p_bg and p_gg, not off the link matrix."""
+    p_good = ge.p_bg if cur == 0 else ge.p_gg
+    return p_good if nxt == 1 else 1.0 - p_good
 
 
 def link_path_scalar(ge: GilbertElliottParams, n_slots: int, rng,

@@ -18,7 +18,7 @@ from twarq.channel import (
     db_to_linear,
     fading_margin_from_outage,
     ge_transitions,
-    joint_matrix,
+    joint_matrices,
     outage_probability,
 )
 from twarq.exceptions import NumericalError
@@ -131,7 +131,7 @@ def test_xor_row_transitions_follow_the_update_table():
     row unchanged, always with the channel-step probability."""
     space = enumerate_substates(Strategy.RR_NC)
     model = model_for(0.4, 10.0, 0.9)
-    p_c = joint_matrix(model)
+    p_c = joint_matrices([model])[0]
     mat = transition_matrix(space, model)
 
     def idx(chan, b=None):
@@ -279,6 +279,23 @@ def test_sw_arq_formula_exact():
 def test_analytic_throughput_sw_route():
     model = model_for(0.25, 10.0, 0.9)
     assert analytic_throughput(Strategy.SW_ARQ, model) == pytest.approx(0.75, abs=1e-9)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.999, 1 - 1e-9])
+def test_sw_arq_keeps_its_relative_precision_as_pss_nears_one(rho):
+    """1 - pi_bad of the direct link cancels as P_ss nears 1: at -15.7 dB
+    it gave 2.22e-16 for 1.11e-16.  Its Good share does not."""
+    for fs_db in (-15.7, -15.0, -14.0, -10.0):
+        pss = outage_probability(db_to_linear(fs_db))
+        model = JointChannelModel.symmetric(pss, 0.3, rho)
+        eta = analytic_many(Strategy.SW_ARQ, [model])[0]
+        assert abs(eta - (1.0 - pss)) <= 1e-12 * (1.0 - pss), (fs_db, eta, 1.0 - pss)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_analytic_many_of_no_models_is_empty(strategy):
+    eta = analytic_many(strategy, [])
+    assert eta.shape == (0,) and eta.dtype == np.float64
 
 
 def test_xor_conventions_agree_memoryless_symmetric():

@@ -13,7 +13,7 @@ from twarq.channel import (
     db_to_linear,
     fading_margin_from_outage,
     ge_transitions,
-    joint_matrix,
+    joint_matrices,
     linear_to_db,
     link_bit,
     outage_probability,
@@ -27,6 +27,7 @@ from _oracles import (
     joint_path,
     link_path_running_max,
     link_path_scalar,
+    link_transition,
     marcum_q_mp,
     marcum_q_quad,
 )
@@ -312,19 +313,19 @@ def test_joint_transition_factorisation():
     # state 2 = [0,1,0], state 7 = [1,1,1]: Bad->Good on S1R, Good->Good on
     # S2R, Bad->Good on the direct link.
     expected = model.s1r.p_bg * model.s2r.p_gg * model.s1s2.p_bg
-    mat = joint_matrix(model)
+    mat = joint_matrices([model])[0]
     assert mat[2, 7] == pytest.approx(expected, rel=1e-14)
     for i in range(8):
         for j in range(8):
             product = math.prod(
-                model.link(link).transition(link_bit(i, link), link_bit(j, link))
+                link_transition(model.link(link), link_bit(i, link), link_bit(j, link))
                 for link in LinkId
             )
             assert mat[i, j] == pytest.approx(product, rel=1e-14), (i, j)
 
 
 def test_joint_rows_stochastic():
-    mat = joint_matrix(_asymmetric_model())
+    mat = joint_matrices([_asymmetric_model()])[0]
     assert np.abs(mat.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -332,7 +333,7 @@ def test_joint_memoryless_rows_identical():
     model = JointChannelModel(
         ge_transitions(0.2, 0.0), ge_transitions(0.4, 0.0), ge_transitions(0.6, 0.0)
     )
-    mat = joint_matrix(model)
+    mat = joint_matrices([model])[0]
     assert np.abs(mat - mat[0]).max() < 1e-12
 
 
@@ -343,11 +344,11 @@ def test_joint_memoryless_rows_identical():
 
 def test_channel_path_empirical_distribution():
     """The joint transitions of a seed's path, drawn one link at a time as
-    the engines draw it, follow joint_matrix."""
+    the engines draw it, follow the joint channel matrix."""
     model = JointChannelModel(
         ge_transitions(0.3, 0.6), ge_transitions(0.15, 0.2), ge_transitions(0.5, 0.8)
     )
-    mat = joint_matrix(model)
+    mat = joint_matrices([model])[0]
     path = joint_path(model, 1_000_000, 1234).astype(np.int64)
     counts = np.bincount(8 * path[:-1] + path[1:], minlength=64).reshape(8, 8)
     for i in range(8):

@@ -211,6 +211,15 @@ def test_non_finite_config_value_names_its_key(tmp_path, capsys):
     assert f"{cfg}:3: fr-over-fs-db: must be finite" in capsys.readouterr().err
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--strategy", "rr", "--pss", "0.3", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot write output file" in err and str(out) in err
+
+
 @pytest.mark.parametrize("argv", [
     ["analytic", "--strategy", "rr", "--pss", "1e-309"],
     ["simulate", "--strategy", "rr", "--pss", "1e-320", "--n-slots", "100"],

@@ -425,8 +425,9 @@ def test_last_known_kernel_pairs_with_slot_replay(strategy, convention):
                 if bit is not None:
                     ctx.observe(link, bit)
             out = apply_slot(state, policy_action(strategy, state, ctx), chan, convention)
+            known_to = list(known)
             for link, bit in out.observed:
-                ctx.observe(link, bit)
+                known_to[link] = bit
             assert (nxt[s][chan] == 0) == out.state.complete, (node, known, chan)
             if out.state.complete:
                 phase_to, state_to = Phase.TRANSMISSION_1, ArqState()
@@ -434,8 +435,7 @@ def test_last_known_kernel_pairs_with_slot_replay(strategy, convention):
                 phase_to, state_to = Phase.TRANSMISSION_2, out.state
             else:
                 phase_to, state_to = Phase.RETRANSMISSION, out.state
-            pair = (phase_to, state_to, tuple(ctx.last_known.get(link) for link in LinkId),
-                    nxt[s][chan])
+            pair = (phase_to, state_to, tuple(known_to), nxt[s][chan])
             if pair not in seen:
                 seen.add(pair)
                 frontier.append(pair)
