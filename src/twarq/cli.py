@@ -20,12 +20,14 @@ them), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from importlib import resources
+from typing import TextIO
 
 import numpy as np
 
@@ -146,16 +148,19 @@ def execute(spec: SweepSpec) -> list[str]:
     return rows
 
 
-def _emit(rows: list[str], out_path: str | None) -> None:
-    text = "\n".join(rows) + "\n"
+@contextlib.contextmanager
+def _output(out_path: str | None) -> Iterator[TextIO]:
+    """Where the CSV goes: stdout for no path or "-", else the file, opened
+    (and so emptied) before any row is computed.  Failing to open, write or
+    close the file is a usage error that names it."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write output file: {exc}") from None
+        yield sys.stdout
+        return
+    try:
+        with open(out_path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValueError(f"cannot write output file: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +460,8 @@ def main(argv: list[str] | None = None) -> int:
             values = _merged_values(parser, args, args.config)
             values.setdefault("engines", args.cmd)
             spec = _build_spec(parser, values)
-        _emit(execute(spec), args.out)
+        with _output(args.out) as out:
+            out.write("\n".join(execute(spec)) + "\n")
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -10,9 +10,9 @@ machine plus its round record, one bit per slot, whatever the horizon.
 A machine is protocol.kernel, the (state, channel) table the analytic chain
 is built from, for the run's CSI view, composed into a table that steps four
 slots at once and flags, by bit t of a nibble, a round completed in slot t.
-The links are sampled as packed bits (`channel.sample_link_words`), and a
-step's key is read straight off them: the nibbles that the three links'
-bytes hold for its four slots.  The group's tables stand side by side, and
+A step's key is its four slots' joint channel indices in base 8, slot 0
+lowest, read off the links' packed bits (`channel.sample_link_words`) one
+table lookup per link byte.  The group's tables stand side by side, and
 every (machine, chunk) column of a block advances in lockstep, one gather per
 four slots, from a guessed start a fixed lookback before its chunk; a
 left-to-right stitch keeps the result exact.  The nibbles of two consecutive
@@ -81,9 +81,6 @@ _MIN_CHUNKS = 64
 # joined the true trajectory by then.  Capped at half the chunk: the short
 # chunks of a short run would pay more lockstep steps than it saves.
 _LOOKBACK = 256
-# Steps converted to Python lists at a time while the stitch walks a chunk
-# again; most chunks meet their guessed trajectory within a few rounds.
-_STITCH_WINDOW = 64
 # Round-aligned batches of the regenerative standard error.
 _N_BATCHES = 100
 # Bytes of a round record per block of slots, and per round count: 4,096
@@ -91,6 +88,10 @@ _N_BATCHES = 100
 _SEGMENT = _BLOCK // 8
 _COUNTED = 512
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+# A link's byte of slots as its bits of two step keys: bit t of the byte goes
+# to bit 3*(t % 4) of the first key (low half) or the second (high half).
+_SPREAD = np.array([sum((b >> t & 1) << 3 * (t % 4) + 16 * (t // 4) for t in range(8))
+                    for b in range(256)], dtype="<u4")
 
 
 class _Record(NamedTuple):
@@ -123,12 +124,6 @@ class _Machine(NamedTuple):
     done4: np.ndarray
 
 
-def _slot_channel(key: np.ndarray, t: int) -> np.ndarray:
-    """The joint channel index in slot t (0..3) of a step key: bits t, 4 + t
-    and 8 + t of the key are the S1-S2, S2-R and S1-R links in that slot."""
-    return (key >> (8 + t) & 1) << 2 | (key >> (4 + t) & 1) << 1 | key >> t & 1
-
-
 def _then(nxt: np.ndarray, done: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
     """Two steps of the [row, state] tables as one: row r2*R + r1 of the
     result takes row r1 and then row r2 of the R rows given, and flags the
@@ -148,17 +143,16 @@ def _fsm(keys: tuple[tuple[Strategy, XorConvention, CsiMode], ...]) -> _Machine:
     FSM shifted by those of the FSMs before it.  Kept per group of keys,
     since a sweep walks the same group at every point.
 
-    A step key holds the channels of four slots bit-sliced, as the walk
-    reads them off the links' packed bits: the low nibble is the S1-S2 link
-    in slots 0..3, the next the S2-R link and the high nibble the S1-R link
-    (see `_slot_channel`).  Both tables are channel-major, [key, state]:
-    nxt4 is the state after the four slots (uint16), and done4 a nibble
-    whose bit t marks a round completed in slot t (uint8), so that the
-    flags of two consecutive steps make one little-endian byte of the round
-    record.  They are the kernels composed into a two-slot step, that step
-    composed with itself, and the rows put in key order.  A slot completes
-    a round exactly when its kernel steps to T0, so the one-slot flags are
-    the kernel entries equal to 0, read before the states are shifted.
+    A step key is the joint channel indices c0..c3 of its four slots in
+    base 8, c0 + 8*c1 + 64*c2 + 512*c3.  Both tables are channel-major,
+    [key, state]: nxt4 is the state after the four slots (uint16), and done4
+    a nibble whose bit t marks a round completed in slot t (uint8), so that
+    the flags of two consecutive steps make one little-endian byte of the
+    round record.  They are the kernels composed into a two-slot step and
+    that step composed with itself, whose rows `_then` lays out in key
+    order.  A slot completes a round exactly when its kernel steps to T0,
+    so the one-slot flags are the kernel entries equal to 0, read before
+    the states are shifted.
 
     start[f] is the state of FSM f's T0, kernel state 0, where every run
     of it starts.
@@ -170,9 +164,7 @@ def _fsm(keys: tuple[tuple[Strategy, XorConvention, CsiMode], ...]) -> _Machine:
     done = nxt == 0
     nxt += np.repeat(base, sizes)[:, None]
     nxt, done = nxt.T.astype(np.uint16), done.T.astype(np.uint8)  # [channel, state]
-    nxt, done = _then(*_then(nxt, done, 1), 2)  # row c3*512 + c2*64 + c1*8 + c0
-    row = sum(_slot_channel(np.arange(1 << 12), t) << 3 * t for t in range(4))
-    tables = _Machine(base, nxt.take(row, axis=0), done.take(row, axis=0))
+    tables = _Machine(base, *_then(*_then(nxt, done, 1), 2))
     for tab in tables:
         tab.setflags(write=False)
     return tables
@@ -200,20 +192,21 @@ def _walk_block(keys: np.ndarray, state: np.ndarray,
 
     The block comes as its step keys (see `_step_keys`), two per byte of
     slots, and a step of an FSM in state s reads entry key*S + s of the
-    `_fsm` tables, S states wide: the walk indexes by the raw key.  The
-    nibbles of two consecutive steps make one byte of flags.  The end
-    states are those after the block's last step, so only a block of whole
-    bytes carries them on; a shorter block, which can only be the last one,
-    ends in slots padded all-Bad, in which no round completes.
+    `_fsm` tables, S states wide.  The nibbles of two consecutive steps
+    make one byte of flags.  The end states are those after the block's
+    last step, so only a block of whole bytes carries them on; a shorter
+    block, which can only be the last one, ends in slots padded all-Bad,
+    in which no round completes.
 
     Data-parallel FSM walk (Mytkowicz, Musuvathi & Schulte, ASPLOS 2014):
     each chunk after the first starts from a guess, the FSM's T0, and walks
     the lookback and then the chunk, one gather per step for all (FSM,
     chunk) columns.  A left-to-right stitch per FSM walks a chunk whose
     guess differs from the true end of the chunk before it again from the
-    true state, but only until the two trajectories meet; from there on
-    they agree.  A chunk that never meets it, as when no round completes in
-    it, is walked to its end.
+    true state, its keys and guessed indices taken as lists once, but only
+    until the two trajectories meet; from there on they agree.  A chunk
+    that never meets it, as when no round completes in it, is walked to its
+    end.
     """
     m = keys.shape[0]
     start, nxt4, done4 = fsms
@@ -250,42 +243,35 @@ def _walk_block(keys: np.ndarray, state: np.ndarray,
     step = nxt4.item
     for f, (guessed_starts, guessed_ends) in enumerate(zip(guesses, ends)):
         true = guessed_starts[0]
-        for j in range(k):
-            if true == guessed_starts[j]:
-                true = guessed_ends[j]
+        for j, (guessed_start, guessed_end) in enumerate(zip(guessed_starts, guessed_ends)):
+            if true == guessed_start:
+                true = guessed_end
                 continue
-            for lo in range(0, length, _STITCH_WINDOW):
-                hi = min(lo + _STITCH_WINDOW, length)
-                walked = []
-                for c, guessed in zip(chan[lo:hi, j].tolist(), idx[lo:hi, f, j].tolist()):
-                    i = true + c
-                    if i == guessed:
-                        break
-                    walked.append(i)
-                    true = step(i)
-                idx[lo : lo + len(walked), f, j] = walked
-                if len(walked) < hi - lo:  # met the guessed trajectory
-                    true = guessed_ends[j]
+            walked = []
+            for c, guessed in zip(chan[:, j].tolist(), idx[:, f, j].tolist()):
+                i = true + c
+                if i == guessed:  # met the guessed trajectory
+                    true = guessed_end
                     break
+                walked.append(i)
+                true = step(i)
+            idx[: len(walked), f, j] = walked
     end = nxt4[idx[tail - 1, :, k - 1]]
     flags = done4.take(idx).transpose(1, 2, 0).reshape(idx.shape[1], -1)
     return flags[:, 0:m:2] | flags[:, 1:m:2] << 4, end
 
 
 def _step_keys(words: Sequence[np.ndarray], n_slots: int) -> np.ndarray:
-    """The walk's step keys over n_slots slots of the three links' packed
-    bits, two per byte of slots: the low nibbles of the links' bytes, then
-    the high ones, each nibble in its place of the key (see `_fsm`)."""
+    """The walk's step keys over n_slots slots of the S1-R, S2-R and S1-S2
+    links' packed bits, two per byte of slots: slot t of a step is base-8
+    digit t of its key, the slot's joint channel index (see `_fsm`).  Each
+    link byte is spread by `_SPREAD` and shifted to its link's bit of the
+    index; the two keys of a byte are read little-endian."""
     n_bytes = -(-n_slots // 8)
-    nibbles = np.empty((len(words), n_bytes, 2), dtype=np.uint16)
-    for nibble, link in zip(nibbles, words):
-        byte = link.view(np.uint8)[:n_bytes]
-        nibble[:, 0] = byte & 15
-        nibble[:, 1] = byte >> 4
-    keys = nibbles[0] << 8
-    keys |= nibbles[1] << 4
-    keys |= nibbles[2]
-    return keys.ravel()
+    keys = np.zeros(n_bytes, dtype="<u4")
+    for link, shift in zip(words, (2, 1, 0)):
+        keys |= _SPREAD.take(link.view(np.uint8)[:n_bytes]) << shift
+    return keys.view("<u2")
 
 
 def _channel_blocks(

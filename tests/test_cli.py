@@ -220,6 +220,30 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert "cannot write output file" in err and str(out) in err
 
 
+def test_unwritable_out_is_reported_before_the_sweep(tmp_path, monkeypatch):
+    def execute(spec):
+        raise AssertionError("the sweep ran before --out was opened")
+
+    monkeypatch.setattr("twarq.cli.execute", execute)
+    out = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--strategy", "rr", "--pss", "0.3", "--out", str(out)])
+    assert exc.value.code == 2
+
+
+def test_failed_sweep_leaves_out_empty(tmp_path, monkeypatch):
+    from twarq.exceptions import NumericalError
+
+    def execute(spec):
+        raise NumericalError("synthetic steady-state failure")
+
+    monkeypatch.setattr("twarq.cli.execute", execute)
+    out = tmp_path / "x.csv"
+    out.write_text("old rows\n")
+    assert main(["analytic", "--strategy", "rr", "--pss", "0.3", "--out", str(out)]) == 3
+    assert out.read_text() == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["analytic", "--strategy", "rr", "--pss", "1e-309"],
     ["simulate", "--strategy", "rr", "--pss", "1e-320", "--n-slots", "100"],

@@ -187,6 +187,18 @@ def _block_keys(path):
     return _step_keys(links, path.shape[0])
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 13, _BLOCK + 5])
+def test_step_keys_are_four_joint_channels_in_base_8(n):
+    """Step key i of a joint path is sum_t path[4i + t] * 8**t: its four
+    slots' joint channel indices in base 8, slot 0 lowest, where the slots
+    past the horizon read 0."""
+    path = np.random.default_rng(n).integers(0, 8, n, dtype=np.int8)
+    padded = np.zeros(8 * -(-n // 8), dtype=np.int64)
+    padded[:n] = path
+    expected = padded.reshape(-1, 4) @ 8 ** np.arange(4)
+    assert np.array_equal(_block_keys(path), expected)
+
+
 def _walk_slots(blocks, cases, n_slots):
     """Slots at which each FSM completes a round, read from its round record,
     over blocks of per-slot joint channels."""
