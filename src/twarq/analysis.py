@@ -324,7 +324,8 @@ class _Block:
     cols: np.ndarray  # the in-class sub-states, as positions in `gather`
     sub: np.ndarray  # the same sub-states as chain indices node*8 + i
     system: int  # index of its I - Q in _Plan.systems
-    exits: tuple[tuple[np.ndarray, np.ndarray], ...]  # (rows, flow positions), unique per pair
+    dest: np.ndarray  # the distinct flow positions node*8 + i its sub-states exit to
+    exits: np.ndarray  # exits[r, d] = 1.0 when sub-state r steps out to dest[d]
 
 
 @dataclass(frozen=True)
@@ -383,15 +384,10 @@ def _plan(strategy: Strategy, convention: XorConvention, support: bytes) -> _Pla
             systems[key] = _System(chan, N_CHAN * chan[:, None] + chan,
                                    inner.astype(float), to == node)
         rows = np.flatnonzero(~np.isin(to, nodes))
-        dest = N_CHAN * to[rows] + chan[rows]
-        exits = []
-        while rows.size:  # split so that no flow position repeats within a pair
-            dest_u, first = np.unique(dest, return_index=True)
-            exits.append((rows[first], dest_u))
-            rest = np.ones(rows.size, dtype=bool)
-            rest[first] = False
-            rows, dest = rows[rest], dest[rest]
-        blocks.append(_Block(gather, cols, sub, list(systems).index(key), tuple(exits)))
+        dest, which = np.unique(N_CHAN * to[rows] + chan[rows], return_inverse=True)
+        exits = np.zeros((sub.size, dest.size))
+        exits[rows, which] = 1.0
+        blocks.append(_Block(gather, cols, sub, list(systems).index(key), dest, exits))
     return _Plan(starts, N_CHAN * nxt[0, starts] + starts, tuple(blocks),
                  tuple(systems.values()), hops)
 
@@ -424,8 +420,7 @@ def _renewal(plan: _Plan, p_c: np.ndarray) -> np.ndarray:
         rhs = inflow.reshape(batch, n0, k * N_CHAN)[:, :, blk.cols]
         x = rhs @ inverses[blk.system]
         visits[:, :, blk.sub] = x
-        for rows, dest in blk.exits:
-            flow[:, :, dest] += x[:, :, rows]
+        flow[:, :, blk.dest] += x @ blk.exits
 
     # Round-start law nu K = nu by GTH state reduction of the small K: fold
     # the last start into the ones before it, pivoting on its outflow to

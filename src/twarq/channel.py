@@ -205,14 +205,6 @@ class GilbertElliottParams:
     def p_gg(self) -> float:
         return 1.0 - self.p_gb
 
-    @property
-    def p_bb(self) -> float:
-        return 1.0 - self.p_bg
-
-    def matrix(self) -> np.ndarray:
-        """2x2 row-stochastic matrix over states (Bad, Good)."""
-        return np.array([[self.p_bb, self.p_bg], [self.p_gb, self.p_gg]])
-
     @classmethod
     def always_good(cls) -> "GilbertElliottParams":
         return cls(p_gb=0.0, p_bg=1.0)
@@ -300,12 +292,14 @@ def joint_matrices(models: Sequence[JointChannelModel]) -> np.ndarray:
     stacked to shape (len(models), 8, 8).
 
     The links fade independently, so each is the Kronecker product of the
-    link matrices, S1R outermost as in the joint index: entry
-    (4i + 2k + m, 4j + 2l + n) is s1r[i, j] * s2r[k, l] * s1s2[m, n],
-    multiplied in that order, as np.kron(np.kron(s1r, s2r), s1s2) does.
+    link matrices [[1 - p_bg, p_bg], [p_gb, 1 - p_gb]] over (Bad, Good),
+    S1R outermost as in the joint index: entry (4i + 2k + m, 4j + 2l + n)
+    is s1r[i, j] * s2r[k, l] * s1s2[m, n], multiplied in that order, as
+    np.kron(np.kron(s1r, s2r), s1s2) does.
     """
-    links = np.array([[model.link(link).matrix() for link in LinkId] for model in models])
-    s1r, s2r, s1s2 = links.reshape(-1, 3, 2, 2).transpose(1, 0, 2, 3)
+    p_bg, p_gb = np.array([[(ge.p_bg, ge.p_gb) for ge in map(model.link, LinkId)]
+                           for model in models]).reshape(-1, 3, 2).T  # [link, model]
+    s1r, s2r, s1s2 = np.stack([1.0 - p_bg, p_bg, p_gb, 1.0 - p_gb], -1).reshape(3, -1, 2, 2)
     prod = (
         s1r[:, :, None, None, :, None, None]
         * s2r[:, None, :, None, None, :, None]

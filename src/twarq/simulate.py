@@ -5,7 +5,8 @@ per link, spawned from the seed) whatever the strategy, xor convention or
 CSI view, so `run_many` draws it once per (model, horizon, seed) group, in
 fixed blocks, and walks every protocol state machine of the group over each
 block from where the previous block left it.  Memory is O(block) per
-machine plus its round record, one bit per slot, whatever the horizon.
+machine plus its round record, one bit per slot and a round count per 512
+slots, whatever the horizon.
 
 A machine is protocol.kernel, the (state, channel) table the analytic chain
 is built from, for the run's CSI view, composed into a table that steps four
@@ -16,7 +17,8 @@ table lookup per link byte.  The group's tables stand side by side, and
 every (machine, chunk) column of a block advances in lockstep, one gather per
 four slots, from a guessed start a fixed lookback before its chunk; a
 left-to-right stitch keeps the result exact.  The nibbles of two consecutive
-steps are one byte of the round record.
+steps are one byte of the round record, and each block's rounds are
+counted as its bytes are written.
 
 Throughput is delivered packets over slots.  The standard error is a ratio
 estimator over batches of whole rounds (regenerative statistics), which
@@ -83,10 +85,10 @@ _MIN_CHUNKS = 64
 _LOOKBACK = 256
 # Round-aligned batches of the regenerative standard error.
 _N_BATCHES = 100
-# Bytes of a round record per block of slots, and per round count: 4,096
-# slots, so that a rank is found within 512 bytes.
+# Bytes of a round record per block of slots, and per round count: 512
+# slots, so that a rank is found within one unpacked window of 64 bytes.
 _SEGMENT = _BLOCK // 8
-_COUNTED = 512
+_COUNTED = 64
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 # A link's byte of slots as its bits of two step keys: bit t of the byte goes
 # to bit 3*(t % 4) of the first key (low half) or the second (high half).
@@ -104,16 +106,10 @@ class _Record(NamedTuple):
     counts: np.ndarray
 
 
-def _record(bits: np.ndarray) -> _Record:
-    """The record of a packed completion bitmap, its popcounts summed
-    _COUNTED bytes at a time; taken a block's bytes at a time, so that the
-    popcounts held never outgrow one block."""
-    counts = []
-    for lo in range(0, bits.shape[0], _SEGMENT):
-        popcount = _POPCOUNT.take(bits[lo : lo + _SEGMENT])
-        starts = np.arange(0, popcount.shape[0], _COUNTED)
-        counts.append(np.add.reduceat(popcount, starts, dtype=np.int64))
-    return _Record(bits, np.concatenate(counts))
+def _counts(bits: np.ndarray) -> np.ndarray:
+    """The rounds in each _COUNTED bytes of packed flags, along the last axis."""
+    starts = np.arange(0, bits.shape[-1], _COUNTED)
+    return np.add.reduceat(_POPCOUNT.take(bits), starts, axis=-1, dtype=np.int64)
 
 
 class _Machine(NamedTuple):
@@ -175,13 +171,17 @@ def _walk(blocks: Iterable[np.ndarray], fsms: _Machine, n_slots: int) -> list[_R
     keys come in blocks, every block _BLOCK slots long but the last, as
     `_channel_blocks` yields them.  All FSMs walk each block together, each
     from the state it ended the previous block in.  Block i's flags are
-    written into the records at byte i*_SEGMENT."""
-    bits = np.zeros((fsms.start.shape[0], -(-n_slots // 8)), dtype=np.uint8)
+    written into the records at byte i*_SEGMENT, and their round counts,
+    taken while the flags are fresh, at window i*_SEGMENT/_COUNTED."""
+    n_bytes = -(-n_slots // 8)
+    bits = np.zeros((fsms.start.shape[0], n_bytes), dtype=np.uint8)
+    counts = np.zeros((fsms.start.shape[0], -(-n_bytes // _COUNTED)), dtype=np.int64)
     state = fsms.start
-    for lo, keys in zip(range(0, bits.shape[1], _SEGMENT), blocks):
+    for lo, keys in zip(range(0, n_bytes, _SEGMENT), blocks):
         packed, state = _walk_block(keys, state, fsms)
         bits[:, lo : lo + packed.shape[1]] = packed
-    return [_record(row) for row in bits]
+        counts[:, lo // _COUNTED : (lo + _SEGMENT) // _COUNTED] = _counts(packed)
+    return list(map(_Record, bits, counts))
 
 
 def _walk_block(keys: np.ndarray, state: np.ndarray,
@@ -284,7 +284,7 @@ def _channel_blocks(
     same order whatever the block size, so two runs with the same seed see
     the same trajectory.
     """
-    children = np.random.SeedSequence(seed).spawn(4)  # 3 links + 1 spare
+    children = np.random.SeedSequence(seed).spawn(len(LinkId))
     links = [
         (model.link(link), np.random.Generator(np.random.PCG64(child)))
         for link, child in zip(LinkId, children)
@@ -301,24 +301,19 @@ def _slots_by_rank(record: _Record, ranks: np.ndarray) -> np.ndarray:
     """The slot in which round r completes (rounds counted from 0), for each
     r of the ascending ranks, all below the record's round count.
 
-    The counts give each rank's window of _COUNTED bytes, a cumulative
-    popcount over the window the byte, and the byte's unpacked bits the
-    slot.  All windows are gathered at once; the last may run past the
-    record, and the clipped gather repeats its last byte there, after every
-    round that window holds."""
+    The counts give each rank's window of _COUNTED bytes, and a cumulative
+    count over the window's unpacked bits the slot.  All windows are
+    gathered at once; the last may run past the record, and the clipped
+    gather repeats its last byte there, after every round that window
+    holds."""
     ends = np.cumsum(record.counts)
     window = np.searchsorted(ends, ranks, side="right")
     rank = ranks - (ends[window] - record.counts[window])  # rank within the window
     first = window * _COUNTED
     window_bits = record.bits.take(first[:, None] + np.arange(_COUNTED), mode="clip")
-    popcount = _POPCOUNT.take(window_bits)
-    by_byte = np.cumsum(popcount, axis=1, dtype=np.intp)
-    byte = (by_byte <= rank[:, None]).sum(axis=1)
-    row = np.arange(ranks.shape[0])
-    rank -= by_byte[row, byte] - popcount[row, byte]  # rank within the byte
-    unpacked = np.unpackbits(window_bits[row, byte, None], axis=1, bitorder="little")
+    unpacked = np.unpackbits(window_bits, axis=1, bitorder="little")
     bit = (np.cumsum(unpacked, axis=1) > rank[:, None]).argmax(axis=1)
-    return 8 * (first + byte) + bit
+    return 8 * first + bit
 
 
 def _round_stats(record: _Record) -> tuple[int, float, float]:

@@ -195,7 +195,7 @@ def joint_path(model: JointChannelModel, n_slots: int, seed: int) -> np.ndarray:
     seed, one int8 per slot.  Each link is drawn in one call over the whole
     horizon by sample_link_path, from its own PCG64 stream spawned from the
     seed in LinkId order, as the simulator spawns them; no block carry."""
-    children = np.random.SeedSequence(seed).spawn(4)  # 3 links + 1 spare
+    children = np.random.SeedSequence(seed).spawn(4)  # children 0-2 equal those of spawn(3)
     path = np.zeros(n_slots, dtype=np.int8)
     for link, child in zip(LinkId, children):
         path <<= 1

@@ -24,9 +24,10 @@ from twarq.simulate import (
     _COUNTED,
     CsiMode,
     SimConfig,
+    _Record,
     _channel_blocks,
+    _counts,
     _fsm,
-    _record,
     _round_stats,
     _slots_by_rank,
     _step_keys,
@@ -201,10 +202,14 @@ def test_step_keys_are_four_joint_channels_in_base_8(n):
 
 def _walk_slots(blocks, cases, n_slots):
     """Slots at which each FSM completes a round, read from its round record,
-    over blocks of per-slot joint channels."""
+    over blocks of per-slot joint channels.  The counts the walk takes block
+    by block are those of the whole record."""
     keys = (_block_keys(path) for path in blocks)
+    records = _walk(keys, _fsm(tuple(cases)), n_slots)
+    for record in records:
+        assert np.array_equal(record.counts, _counts(record.bits))
     return [np.flatnonzero(np.unpackbits(record.bits, count=n_slots, bitorder="little"))
-            for record in _walk(keys, _fsm(tuple(cases)), n_slots)]
+            for record in records]
 
 
 def _walk_in_blocks(path, case):
@@ -390,8 +395,8 @@ def test_memory_does_not_grow_with_horizon():
 
 def test_memory_of_a_1e8_slot_run():
     """A 10^8-slot run outgrows a 4*10^5-slot one by its round record alone:
-    a uint8 holds the flags of 8 slots, 0.125 B/slot, and the bound leaves
-    as much again for the rest."""
+    a uint8 holds the flags of 8 slots and an int64 the count of 512, 0.141
+    B/slot, and the bound leaves nearly as much again for the rest."""
     cfg = SimConfig(Strategy.RR_NC, model_for(0.4, 10.0, 0.99), 400_000, 12345)
     assert _traced_growth_per_slot(cfg, (400_000, 100_000_000)) <= 0.25
 
@@ -440,11 +445,12 @@ def _one_hot(n, *slots):
 @example(_one_hot(2 * _BLOCK + 1, _BLOCK - 1, 2 * _BLOCK))
 @settings(max_examples=150, deadline=None)
 def test_slots_by_rank_match_unpacked_bits(flags):
-    """Each round's slot, found by rank through the segment counts and the
-    popcounts, is the slot of its set bit; the round statistics read from
+    """Each round's slot, found by rank through the window counts and the
+    unpacked bits, is the slot of its set bit; the round statistics read from
     those slots equal the per-round oracle's."""
     n = flags.shape[0]
-    record = _record(np.packbits(flags, bitorder="little"))
+    bits = np.packbits(flags, bitorder="little")
+    record = _Record(bits, _counts(bits))
     done = np.flatnonzero(np.unpackbits(record.bits, count=n, bitorder="little"))
     assert np.array_equal(done, np.flatnonzero(flags))
     assert np.array_equal(_slots_by_rank(record, np.arange(done.shape[0])), done)
@@ -454,7 +460,7 @@ def test_slots_by_rank_match_unpacked_bits(flags):
         x.hex() for x in round_stats_from_lengths(done))
 
 
-# Slots either side of the edges of a record's 4,096-slot count windows.
+# Slots either side of the edges of a record's 512-slot count windows.
 _WINDOW = 8 * _COUNTED
 
 
@@ -464,14 +470,15 @@ _WINDOW = 8 * _COUNTED
     _one_hot(3 * _WINDOW, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW - 1, 2 * _WINDOW),
     _one_hot(2 * _WINDOW + 9, 0, 2 * _WINDOW + 8),  # the last window is 2 bytes long
     _one_hot(_BLOCK + _WINDOW + 1, _BLOCK - 1, _BLOCK + _WINDOW - 1, _BLOCK + _WINDOW),
-    np.ones(3 * _WINDOW + 5, dtype=bool),  # 4,096 rounds in each full window
+    np.ones(3 * _WINDOW + 5, dtype=bool),  # 512 rounds in each full window
     np.arange(5 * _WINDOW + 3) % 97 == 96,
 ], ids=["last-of-window", "first-of-window", "around-edges", "short-last-window",
         "past-a-block", "every-slot", "every-97th"])
 def test_slots_by_rank_at_count_window_edges(flags):
     """Rounds next to the edges of the count windows, and in a short last
     window, are found at their slots, and the statistics are the oracle's."""
-    record = _record(np.packbits(flags, bitorder="little"))
+    bits = np.packbits(flags, bitorder="little")
+    record = _Record(bits, _counts(bits))
     done = np.flatnonzero(flags)
     assert record.counts.shape == (-(-flags.shape[0] // _WINDOW),)
     assert np.array_equal(_slots_by_rank(record, np.arange(done.shape[0])), done)
